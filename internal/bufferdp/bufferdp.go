@@ -87,16 +87,6 @@ type jptr struct {
 	valid       bool
 }
 
-// node holds the DP state for one tree node during recovery.
-type node struct {
-	c     []float64 // final cost array C_v
-	k     [][]float64
-	kp    [][]kptr
-	jp    [][]jptr // jp[i] is the split used when folding child i (i >= 1)
-	acc   [][]float64
-	extra []int16 // per index: -1, or the source index when C_v[j] used a trunk buffer
-}
-
 // DPStats counts the dynamic-programming work of one Assign call, for the
 // "Stage-3 DP candidates generated vs. pruned" telemetry: a candidate is
 // one (value, target-index) combination the DP evaluated; it is generated
@@ -119,19 +109,66 @@ func Assign(rt *rtree.Tree, L int, q func(v int) float64) (Assignment, error) {
 // AssignCounted is Assign with optional work counters: when st is non-nil
 // it is overwritten with the DP statistics of this call. The counting is
 // a handful of integer increments in loops the DP runs anyway, so passing
-// nil and non-nil cost the same.
+// nil and non-nil cost the same. It runs on a fresh Scratch; callers that
+// assign many nets keep one Scratch and call its Assign instead.
 func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (Assignment, error) {
+	var s Scratch
+	return s.Assign(rt, L, q, st)
+}
+
+// Scratch is the reusable working memory of the DP. Every per-node array
+// is a fixed-width row of L+1 cells in one flat arena, sized once per call
+// from the node count, so a warmed Scratch assigns a net without
+// allocating anything but the returned Buffers slice. Rows are addressed
+// by node: the C row of node v, and — because every child has exactly one
+// parent — the K pointer row and the join pointer row of the edge into
+// child w are stored at w. The zero value is ready to use; one Scratch
+// serves one goroutine at a time.
+type Scratch struct {
+	c     []float64 // C_v rows
+	kp    []kptr    // K pointers of the edge (parent(w), w), at row w
+	jp    []jptr    // join pointers for folding child w in (w not a first child), at row w
+	extra []int16   // per node: -1, or the source index when C_v[0] used a trunk buffer
+	k, t  []float64 // the K_i row under construction and the fold target, one row each
+	order []int     // post-order
+	sel   []int     // per node: the chosen index of its K row during recovery
+	bufs  []Buffer  // recovery output, copied out exactly sized
+}
+
+// grow sizes the arenas for n nodes of rows w cells wide.
+func (s *Scratch) grow(n, w int) {
+	if cells := n * w; cap(s.c) < cells {
+		s.c = make([]float64, cells)
+		s.kp = make([]kptr, cells)
+		s.jp = make([]jptr, cells)
+	}
+	if cap(s.extra) < n {
+		s.extra = make([]int16, n)
+		s.sel = make([]int, n)
+	}
+	if cap(s.k) < w {
+		s.k = make([]float64, w)
+		s.t = make([]float64, w)
+	}
+	s.c, s.kp, s.jp = s.c[:n*w], s.kp[:n*w], s.jp[:n*w]
+	s.extra, s.sel = s.extra[:n], s.sel[:n]
+	s.k, s.t = s.k[:w], s.t[:w]
+}
+
+// Assign is AssignCounted on the scratch's arenas. The arithmetic is the
+// same in the same order, so results, counters and tie-breaks are
+// identical to a fresh Scratch's.
+func (s *Scratch) Assign(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (Assignment, error) {
 	if L < 1 {
-		return Assignment{}, fmt.Errorf("bufferdp: length constraint %d < 1", L)
+		return Assignment{}, fmt.Errorf("bufferdp: length constraint %d < 1", L) //rabid:allow allocfree cold argument-error path
 	}
 	if L > math.MaxInt16 {
-		return Assignment{}, fmt.Errorf("bufferdp: length constraint %d too large", L)
+		return Assignment{}, fmt.Errorf("bufferdp: length constraint %d too large", L) //rabid:allow allocfree cold argument-error path
 	}
 	n := rt.NumNodes()
 	if n == 0 {
 		return Assignment{}, fmt.Errorf("bufferdp: empty tree")
 	}
-	nodes := make([]node, n)
 	inf := math.Inf(1)
 	candidates, pruned, joins := 0, 0, 0
 
@@ -142,40 +179,50 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 	// at the root (matching the single-sink algorithm's return of
 	// min{C_v[j] : par(v)=s}, which lets the driver reach L).
 	m := L
+	w := m + 1
+	s.grow(n, w)
+	s.order = rt.PostOrderInto(s.order)
 
-	for _, v := range rt.PostOrder() {
+	for _, v := range s.order {
 		kids := rt.Children(v)
-		nd := &nodes[v]
+		cv := s.c[v*w : v*w+w]
+		s.extra[v] = -1
 		if len(kids) == 0 {
 			// Leaf: a sink (or a single-tile net's root). No wire hangs
 			// below it, and the sink pin terminates any length count, so
 			// every index is free (Step 1 of Fig. 6).
-			nd.c = make([]float64, m+1)
+			clear(cv)
 			continue
 		}
-		// Build K_i for each child: advance one tile, or buffer here.
-		nd.k = make([][]float64, len(kids))
-		nd.kp = make([][]kptr, len(kids))
-		for i, w := range kids {
-			cw := nodes[w].c
-			k := make([]float64, m+1)
-			kp := make([]kptr, m+1)
+		qa := q(v)
+		// Build K_i for each child — advance one tile, or buffer here — and
+		// fold it into the running join. K_0 is built straight into C_v,
+		// which then ping-pongs with the fold buffer t as the accumulator.
+		acc := cv
+		for i, c := range kids {
+			k := s.k
+			if i == 0 {
+				k = cv
+			}
+			kp := s.kp[c*w : c*w+w]
+			clear(kp)
+			cw := s.c[c*w : c*w+w]
 			for j := range k {
 				k[j] = inf
 			}
 			// AdvanceTile: one more tile of wire on the way to v.
 			for j := 1; j <= m; j++ {
-				if j-1 < len(cw) && cw[j-1] < k[j] {
+				if cw[j-1] < k[j] {
 					k[j] = cw[j-1]
-					kp[j] = kptr{fromJ: int16(j - 1), valid: true}
+					kp[j] = kptr{fromJ: int16(j - 1), valid: true} //rabid:allow narrowcast j <= m = L, and L <= MaxInt16 is checked on entry
 					candidates++
 				}
 			}
 			// Violation bucket: stay at the top index, paying the penalty.
-			if top := len(cw) - 1; top >= 0 && cw[top] < inf {
-				if c := cw[top] + ViolationPenalty; c < k[m] {
-					k[m] = c
-					kp[m] = kptr{fromJ: int16(top), violated: true, valid: true}
+			if cw[m] < inf {
+				if cc := cw[m] + ViolationPenalty; cc < k[m] {
+					k[m] = cc
+					kp[m] = kptr{fromJ: int16(m), violated: true, valid: true} //rabid:allow narrowcast m = L, and L <= MaxInt16 is checked on entry
 					candidates++
 				} else {
 					pruned++
@@ -183,9 +230,9 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 			}
 			// BufferTile: a buffer at v decouples and drives this branch
 			// (1 tile of edge + the child's unbuffered load <= L).
-			if qa := q(v); !math.IsInf(qa, 1) {
+			if !math.IsInf(qa, 1) {
 				bestJ, bestC := -1, inf
-				for j := 0; j < len(cw) && j <= L-1; j++ {
+				for j := 0; j <= L-1; j++ {
 					if cw[j] < bestC {
 						bestC, bestJ = cw[j], j
 					}
@@ -200,17 +247,16 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 					}
 				}
 			}
-			nd.k[i] = k
-			nd.kp[i] = kp
-		}
-		// JoinChildren: min-plus convolution, folding children in order.
-		acc := nd.k[0]
-		nd.acc = make([][]float64, len(kids))
-		nd.jp = make([][]jptr, len(kids))
-		nd.acc[0] = acc
-		for i := 1; i < len(kids); i++ {
-			nxt := make([]float64, m+1)
-			np := make([]jptr, m+1)
+			if i == 0 {
+				continue
+			}
+			// JoinChildren: min-plus convolution, folding children in order.
+			nxt := cv
+			if &acc[0] == &cv[0] {
+				nxt = s.t
+			}
+			np := s.jp[c*w : c*w+w]
+			clear(np)
 			for j := range nxt {
 				nxt[j] = inf
 			}
@@ -219,10 +265,10 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 					continue
 				}
 				for j2 := 0; j2 <= m; j2++ {
-					if math.IsInf(nd.k[i][j2], 1) {
+					if math.IsInf(k[j2], 1) {
 						continue
 					}
-					sum := acc[j1] + nd.k[i][j2]
+					sum := acc[j1] + k[j2]
 					tgt := j1 + j2
 					viol := false
 					if tgt > m {
@@ -243,33 +289,27 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 				}
 			}
 			acc = nxt
-			nd.acc[i] = acc
-			nd.jp[i] = np
 		}
 		// C_v starts as the joined array.
-		nd.c = append([]float64(nil), acc...)
-		nd.extra = make([]int16, m+1)
-		for j := range nd.extra {
-			nd.extra[j] = -1
+		if &acc[0] != &cv[0] {
+			copy(cv, acc)
 		}
 		// BufferMultiChildren: for branch nodes, a trunk buffer at v may
 		// drive the joined load (Fig. 8(a)/(b)).
-		if len(kids) >= 2 {
-			if qa := q(v); !math.IsInf(qa, 1) {
-				bestJ, bestC := -1, inf
-				for j := 0; j <= m; j++ {
-					if acc[j] < bestC {
-						bestC, bestJ = acc[j], j
-					}
+		if len(kids) >= 2 && !math.IsInf(qa, 1) {
+			bestJ, bestC := -1, inf
+			for j := 0; j <= m; j++ {
+				if cv[j] < bestC {
+					bestC, bestJ = cv[j], j
 				}
-				if bestJ >= 0 {
-					if qa+bestC < nd.c[0] {
-						nd.c[0] = qa + bestC
-						nd.extra[0] = int16(bestJ)
-						candidates++
-					} else {
-						pruned++
-					}
+			}
+			if bestJ >= 0 {
+				if qa+bestC < cv[0] {
+					cv[0] = qa + bestC
+					s.extra[v] = int16(bestJ)
+					candidates++
+				} else {
+					pruned++
 				}
 			}
 		}
@@ -280,9 +320,8 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 
 	// The answer is the cheapest root entry; index L lets the driver itself
 	// drive a full constraint's worth of wire.
-	root := &nodes[0]
 	bestJ, bestC := -1, inf
-	for j, c := range root.c {
+	for j, c := range s.c[:w] {
 		if c < bestC {
 			bestC, bestJ = c, j
 		}
@@ -291,54 +330,59 @@ func AssignCounted(rt *rtree.Tree, L int, q func(v int) float64, st *DPStats) (A
 		return Assignment{}, fmt.Errorf("bufferdp: no solution (unexpected: violation buckets should always apply)")
 	}
 	a := Assignment{Cost: bestC}
-	recover_(rt, nodes, 0, bestJ, &a)
+	s.bufs = s.bufs[:0]
+	s.recover(rt, w, 0, bestJ, &a)
+	if len(s.bufs) > 0 {
+		a.Buffers = make([]Buffer, len(s.bufs)) //rabid:allow allocfree the returned assignment owns its buffer list
+		copy(a.Buffers, s.bufs)
+	}
 	return a, nil
 }
 
-// recover_ replays the DP decisions top-down, collecting buffers and
-// violation counts. v is the node, j the chosen index of C_v.
-func recover_(rt *rtree.Tree, nodes []node, v, j int, a *Assignment) {
+// recover replays the DP decisions top-down, collecting buffers into
+// s.bufs and violation counts into a. v is the node, j the chosen index of
+// C_v, w the row width.
+func (s *Scratch) recover(rt *rtree.Tree, w, v, j int, a *Assignment) {
 	kids := rt.Children(v)
 	if len(kids) == 0 {
 		return
 	}
-	nd := &nodes[v]
-	if nd.extra != nil && j == 0 && nd.extra[0] >= 0 {
+	if j == 0 && s.extra[v] >= 0 {
 		// Trunk buffer at v (only set when it beat the plain join).
-		a.Buffers = append(a.Buffers, Buffer{Node: v, Branch: -1})
-		j = int(nd.extra[0])
+		s.bufs = append(s.bufs, Buffer{Node: v, Branch: -1})
+		j = int(s.extra[v])
 	}
 	// Unfold the joins from the last child back to the first.
-	idx := make([]int, len(kids))
 	for i := len(kids) - 1; i >= 1; i-- {
-		p := nd.jp[i][j]
+		c := kids[i]
+		p := s.jp[c*w+j]
 		if !p.valid {
-			panic(fmt.Sprintf("bufferdp: invalid join pointer at node %d index %d", v, j))
+			panic(fmt.Sprintf("bufferdp: invalid join pointer at node %d index %d", v, j)) //rabid:allow allocfree panic path: a corrupted DP table
 		}
 		if p.violated {
 			a.Violations += int(p.left) + int(p.right) - j
 		}
-		idx[i] = int(p.right)
+		s.sel[c] = int(p.right)
 		j = int(p.left)
 	}
-	idx[0] = j
-	for i, w := range kids {
-		p := nd.kp[i][idx[i]]
+	s.sel[kids[0]] = j
+	for i, c := range kids {
+		p := s.kp[c*w+s.sel[c]]
 		if !p.valid {
-			panic(fmt.Sprintf("bufferdp: invalid K pointer at node %d child %d index %d", v, i, idx[i]))
+			panic(fmt.Sprintf("bufferdp: invalid K pointer at node %d child %d index %d", v, i, s.sel[c])) //rabid:allow allocfree panic path: a corrupted DP table
 		}
 		if p.buffered {
-			role := w
+			role := c
 			if len(kids) == 1 {
 				// A buffer on a degree-one node drives the whole (single)
 				// downstream branch; report it as a trunk buffer.
 				role = -1
 			}
-			a.Buffers = append(a.Buffers, Buffer{Node: v, Branch: role})
+			s.bufs = append(s.bufs, Buffer{Node: v, Branch: role})
 		}
 		if p.violated {
 			a.Violations++
 		}
-		recover_(rt, nodes, w, int(p.fromJ), a)
+		s.recover(rt, w, c, int(p.fromJ), a)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufferdp"
 	"repro/internal/delay"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/rtree"
 )
@@ -22,16 +23,15 @@ func newTestState(t *testing.T, c *netlist.Circuit, p Params) *state {
 		t.Fatal(err)
 	}
 	s := &state{
-		ctx:      context.Background(),
-		c:        c,
-		p:        p,
-		eval:     eval,
-		routes:   make([]*rtree.Tree, len(c.Nets)),
-		asg:      make([]bufferdp.Assignment, len(c.Nets)),
-		hasAsg:   make([]bool, len(c.Nets)),
-		bufTiles: make([][]int, len(c.Nets)),
-		delays:   make([]float64, len(c.Nets)),
-		ws:       route.NewWorkspace(),
+		ctx:    context.Background(),
+		c:      c,
+		p:      p,
+		eval:   eval,
+		routes: make([]*rtree.Tree, len(c.Nets)),
+		asg:    make([]bufferdp.Assignment, len(c.Nets)),
+		hasAsg: make([]bool, len(c.Nets)),
+		delays: make([]float64, len(c.Nets)),
+		ws:     route.NewWorkspace(),
 	}
 	if err := s.stage1(); err != nil {
 		t.Fatal(err)
@@ -127,6 +127,8 @@ func TestReworkNetRestoresOnFailedReconnection(t *testing.T) {
 		before[e] = s.g.Usage(e)
 	}
 	oldRoute := s.routes[0]
+	m := obs.NewMetrics()
+	s.obs, s.stage = m, 4
 	if err := s.reworkNet(0); err != nil {
 		t.Fatalf("failed reconnections must be skipped, not fatal: %v", err)
 	}
@@ -137,6 +139,45 @@ func TestReworkNetRestoresOnFailedReconnection(t *testing.T) {
 		if got := s.g.Usage(e); got != before[e] {
 			t.Fatalf("edge %d usage %d, want %d: wire accounting corrupted by failed rework", e, got, before[e])
 		}
+	}
+	// The skipped reconnections are not silent: each one is counted.
+	tried := m.Counter("rework.twopaths.4")
+	if tried == 0 {
+		t.Fatal("no two-path was attempted")
+	}
+	if got := m.Counter("rework.noreconnect.4"); got != tried {
+		t.Errorf("rework.noreconnect = %v, want one per failed two-path (%v)", got, tried)
+	}
+}
+
+// TestReworkNetAllocBound: once the workspace, the recycled-tree free list
+// and the run's scratch are warm, reworking a net allocates O(1) — a
+// bounded number independent of its two-paths and splices (the map-based
+// rework allocated hundreds of times per net). Routes change from sweep
+// to sweep, so the bound allows an occasional amortized regrowth.
+func TestReworkNetAllocBound(t *testing.T) {
+	c := smallCircuit(t, 26, 30, 16, 16, 2, 4)
+	s := newTestState(t, c, DefaultParams())
+	sweep := func() {
+		for i := range s.routes {
+			if err := s.reworkNet(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k := 0; k < 4; k++ {
+		sweep()
+	}
+	splices := 0
+	for _, rt := range s.routes {
+		rt.TwoPathsInto(&s.paths)
+		splices += s.paths.Len()
+	}
+	avg := testing.AllocsPerRun(10, sweep)
+	t.Logf("%v allocs per sweep of %d nets (%d two-paths)", avg, len(s.routes), splices)
+	if perNet := avg / float64(len(s.routes)); perNet > 1 {
+		t.Fatalf("reworkNet with warmed scratch: %v allocs per sweep of %d nets (%d two-paths), want <= 1 per net",
+			avg, len(s.routes), splices)
 	}
 }
 

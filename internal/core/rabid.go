@@ -17,12 +17,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/bufferdp"
 	"repro/internal/delay"
-	"repro/internal/geom"
 	"repro/internal/mcf"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -199,12 +199,9 @@ type state struct {
 	routes []*rtree.Tree
 	asg    []bufferdp.Assignment
 	hasAsg []bool
-	// bufTiles caches, per net, the tile index of every committed buffer so
-	// Stage 4 can release them.
-	bufTiles [][]int
-	delays   []float64 // per-net max sink delay, for ordering
-	obs      obs.Observer
-	stage    int // current pipeline stage, stamped on emitted events
+	delays []float64 // per-net max sink delay, for ordering
+	obs    obs.Observer
+	stage  int // current pipeline stage, stamped on emitted events
 	// ws is the run's primary router workspace: it serves the sequential
 	// routing of Stages 2 and 4 — including the Stage-2 commit/replay
 	// section of the speculative engine, whose concurrent workers draw
@@ -212,6 +209,37 @@ type state struct {
 	// across nets and passes and, through Params.WorkspacePool, across
 	// runs.
 	ws *route.Workspace
+
+	// Stage-3/4 and delay-evaluation scratch, reused across nets and
+	// stages so that their steady state allocates nothing but results (see
+	// DESIGN.md, "Router hot path").
+	dp     bufferdp.Scratch
+	sites  siteCheck
+	paths  rtree.TwoPathSet
+	done   []uint64 // reworked two-paths of the current net: sorted (head, tail) tile-index pairs
+	splice splicer
+	slots  []evalSlot // per worker slot of refreshDelays and snapshot
+	snap   struct {
+		fail, ok []bool    // per net
+		off      []int     // net i's sink delays are ds[off[i]:off[i+1]]
+		ds       []float64 // per sink, in net order
+	}
+}
+
+// siteCheck is assignNet's per-tile bookkeeping, epoch-stamped so each net
+// and each DP run touches only the tiles it uses: a tile is banned for the
+// current net while banStamp == banEp, and want counts the current
+// solution's buffers in a tile while wantStamp == wantEp.
+type siteCheck struct {
+	banEp, wantEp       uint64
+	banStamp, wantStamp []uint64
+	want                []int32
+}
+
+// evalSlot is one worker slot's delay-evaluation memory.
+type evalSlot struct {
+	sc    delay.Scratch
+	gates []tech.Gate
 }
 
 // Run executes the full RABID pipeline on the circuit.
@@ -314,17 +342,16 @@ func newState(ctx context.Context, c *netlist.Circuit, p Params) (*state, error)
 		return nil, err
 	}
 	return &state{
-		ctx:      ctx,
-		c:        c,
-		p:        p,
-		eval:     eval,
-		routes:   make([]*rtree.Tree, len(c.Nets)),
-		asg:      make([]bufferdp.Assignment, len(c.Nets)),
-		hasAsg:   make([]bool, len(c.Nets)),
-		bufTiles: make([][]int, len(c.Nets)),
-		delays:   make([]float64, len(c.Nets)),
-		obs:      p.Observer,
-		ws:       p.WorkspacePool.Get(), // nil pool => fresh workspace
+		ctx:    ctx,
+		c:      c,
+		p:      p,
+		eval:   eval,
+		routes: make([]*rtree.Tree, len(c.Nets)),
+		asg:    make([]bufferdp.Assignment, len(c.Nets)),
+		hasAsg: make([]bool, len(c.Nets)),
+		delays: make([]float64, len(c.Nets)),
+		obs:    p.Observer,
+		ws:     p.WorkspacePool.Get(), // nil pool => fresh workspace
 	}, nil
 }
 
@@ -591,7 +618,14 @@ func (s *state) stage3() error {
 // re-run, so that b(v) <= B(v) is never violated.
 func (s *state) assignNet(i int) error {
 	rt := s.routes[i]
-	banned := map[int]bool{}
+	sc := &s.sites
+	if nt := s.g.NumTiles(); len(sc.banStamp) < nt {
+		sc.banStamp = make([]uint64, nt)
+		sc.wantStamp = make([]uint64, nt)
+		sc.want = make([]int32, nt)
+	}
+	sc.banEp++
+	banned := 0
 	var a bufferdp.Assignment
 	var dp bufferdp.DPStats
 	var dpp *bufferdp.DPStats
@@ -607,40 +641,46 @@ func (s *state) assignNet(i int) error {
 	if len(s.p.Library) > 0 {
 		lib = dpLibrary(s.p.Library, s.p.Tech.Buffer, s.c.Nets[i].L)
 	}
-	for {
-		q := func(v int) float64 {
-			ti := s.g.TileIndex(rt.Tile[v])
-			if banned[ti] {
-				return math.Inf(1)
-			}
-			return s.g.SiteCost(ti)
+	q := func(v int) float64 {
+		ti := s.g.TileIndex(rt.Tile[v])
+		if sc.banStamp[ti] == sc.banEp {
+			return math.Inf(1)
 		}
+		return s.g.SiteCost(ti)
+	}
+	for {
 		var err error
 		if lib != nil {
 			a, err = bufferdp.AssignLib(rt, s.c.Nets[i].L, lib, q, dpp)
 		} else {
-			a, err = bufferdp.AssignCounted(rt, s.c.Nets[i].L, q, dpp)
+			a, err = s.dp.Assign(rt, s.c.Nets[i].L, q, dpp)
 		}
 		if err != nil {
 			return err
 		}
 		over := -1
-		want := map[int]int{}
+		sc.wantEp++
 		for _, b := range a.Buffers {
 			ti := s.g.TileIndex(rt.Tile[b.Node])
-			want[ti]++
-			if want[ti] > s.g.Sites(ti)-s.g.UsedSites(ti) {
+			if sc.wantStamp[ti] != sc.wantEp {
+				sc.wantStamp[ti], sc.want[ti] = sc.wantEp, 0
+			}
+			sc.want[ti]++
+			if int(sc.want[ti]) > s.g.Sites(ti)-s.g.UsedSites(ti) {
 				over = ti
 			}
 		}
 		if over < 0 {
 			break
 		}
-		banned[over] = true
+		if sc.banStamp[over] != sc.banEp {
+			sc.banStamp[over] = sc.banEp
+			banned++
+		}
 	}
 	if s.obs != nil {
 		// dp holds the counters of the last (committed) DP run; the banned
-		// map size is the buffer-site contention — tiles whose free sites
+		// tile count is the buffer-site contention — tiles whose free sites
 		// could not honor the solution, forcing a re-run.
 		id := s.c.Nets[i].ID
 		emit := func(scope string, v float64) {
@@ -649,29 +689,28 @@ func (s *state) assignNet(i int) error {
 		emit("dp.candidates", float64(dp.Candidates))
 		emit("dp.pruned", float64(dp.Pruned))
 		emit("dp.joins", float64(dp.Joins))
-		if len(banned) > 0 {
-			emit("dp.site_contention", float64(len(banned)))
-			emit("dp.reruns", float64(len(banned)))
+		if banned > 0 {
+			emit("dp.site_contention", float64(banned))
+			emit("dp.reruns", float64(banned))
 		}
 		s.obs.Observe(obs.Event{Kind: obs.KindSpanEnd, Scope: "net.assign", Stage: s.stage, Net: id, Dur: obs.Since(s.obs, t0)})
 	}
 	s.asg[i] = a
 	s.hasAsg[i] = true
-	s.bufTiles[i] = s.bufTiles[i][:0]
 	for _, b := range a.Buffers {
-		ti := s.g.TileIndex(rt.Tile[b.Node])
-		s.g.AddBuffer(ti)
-		s.bufTiles[i] = append(s.bufTiles[i], ti)
+		s.g.AddBuffer(s.g.TileIndex(rt.Tile[b.Node]))
 	}
 	return nil
 }
 
-// releaseNet removes net i's committed buffers from the graph.
+// releaseNet removes net i's committed buffers from the graph. Their tiles
+// are read off the route they were assigned on: a net's route changes only
+// in its own rework, which runs after its release.
 func (s *state) releaseNet(i int) {
-	for _, ti := range s.bufTiles[i] {
-		s.g.RemoveBuffer(ti)
+	rt := s.routes[i]
+	for _, b := range s.asg[i].Buffers {
+		s.g.RemoveBuffer(s.g.TileIndex(rt.Tile[b.Node]))
 	}
-	s.bufTiles[i] = s.bufTiles[i][:0]
 	s.asg[i] = bufferdp.Assignment{}
 	s.hasAsg[i] = false
 }
@@ -711,14 +750,21 @@ func (s *state) reworkNet(i int) error {
 			s.obs.Observe(obs.Event{Kind: obs.KindSpanEnd, Scope: "net.rework", Stage: s.stage, Net: n.ID, Dur: obs.Since(s.obs, t0)})
 		}()
 	}
-	processed := map[[2]geom.Pt]bool{}
+	// The two-paths are re-enumerated after every splice, because the pick
+	// order follows the new tree's node numbering; a two-path is named by
+	// its end tiles, packed as (head, tail) tile indices into a sorted set.
+	s.done = s.done[:0]
 	for {
 		rt := s.routes[i]
-		paths := rt.TwoPaths()
+		rt.TwoPathsInto(&s.paths)
 		var pick []int
-		for _, p := range paths {
-			key := [2]geom.Pt{rt.Tile[p[0]], rt.Tile[p[len(p)-1]]}
-			if !processed[key] {
+		var key uint64
+		var at int
+		for k := 0; k < s.paths.Len(); k++ {
+			p := s.paths.Path(k)
+			key = uint64(s.g.TileIndex(rt.Tile[p[0]]))<<32 | uint64(s.g.TileIndex(rt.Tile[p[len(p)-1]]))
+			var seen bool
+			if at, seen = slices.BinarySearch(s.done, key); !seen {
 				pick = p
 				break
 			}
@@ -726,9 +772,9 @@ func (s *state) reworkNet(i int) error {
 		if pick == nil {
 			return nil
 		}
+		s.done = slices.Insert(s.done, at, key)
 		head := rt.Tile[pick[0]]
 		tail := rt.Tile[pick[len(pick)-1]]
-		processed[[2]geom.Pt{head, tail}] = true
 		nPaths++
 
 		// Remove the whole net's wires, rebuild the tree with the new
@@ -738,7 +784,7 @@ func (s *state) reworkNet(i int) error {
 		// and is cleared entry-by-entry right after the search, keeping
 		// each two-path O(tree) instead of O(grid).
 		route.RemoveUsage(s.g, rt)
-		blocked := s.ws.BlockedMask(s.g.NumTiles())
+		blocked := s.ws.BlockedMask(s.g.NumTiles()) //rabid:allow allocfree inlined grow path: the mask is sized once per workspace
 		for _, t := range rt.Tile {
 			blocked[s.g.TileIndex(t)] = true
 		}
@@ -753,62 +799,26 @@ func (s *state) reworkNet(i int) error {
 		}
 		if err != nil {
 			// Keep the old route if no reconnection exists (should not
-			// happen: the ripped path itself is always available).
+			// happen: the ripped path itself is always available), and
+			// count it.
+			if s.obs != nil {
+				s.obs.Observe(obs.Event{Kind: obs.KindCounter, Scope: "rework.noreconnect", Stage: s.stage, Net: n.ID, Value: 1})
+			}
 			route.AddUsage(s.g, rt)
 			continue
 		}
-		nt, err := spliceTwoPath(rt, pick, newPath)
-		if err != nil {
+		// The spliced tree is built into a recycled carcass, and the old
+		// one — referenced from nowhere else once replaced — feeds the next.
+		nt := s.ws.TakeTree() //rabid:allow allocfree fresh tree only when the recycle pool is empty; each splice recycles the tree it replaces
+		if err := s.splice.splice(rt, pick, newPath, nt); err != nil {
+			s.ws.Recycle(nt)
 			route.AddUsage(s.g, rt)
 			return err
 		}
 		s.routes[i] = nt
 		route.AddUsage(s.g, nt)
+		s.ws.Recycle(rt)
 	}
-}
-
-// spliceTwoPath rebuilds the route tree with the interior of the two-path
-// `pick` replaced by newPath (which runs head..tail inclusive).
-func spliceTwoPath(rt *rtree.Tree, pick []int, newPath []geom.Pt) (*rtree.Tree, error) {
-	head := rt.Tile[pick[0]]
-	tail := rt.Tile[pick[len(pick)-1]]
-	if newPath[0] != head || newPath[len(newPath)-1] != tail {
-		return nil, fmt.Errorf("core: splice path endpoints %v..%v, want %v..%v",
-			newPath[0], newPath[len(newPath)-1], head, tail)
-	}
-	interior := map[geom.Pt]bool{}
-	for _, v := range pick[1 : len(pick)-1] {
-		interior[rt.Tile[v]] = true
-	}
-	parent := map[geom.Pt]geom.Pt{}
-	for v := 1; v < rt.NumNodes(); v++ {
-		t := rt.Tile[v]
-		if interior[t] || t == tail {
-			continue // dropped interior; tail re-parents below
-		}
-		parent[t] = rt.Tile[rt.Parent[v]]
-	}
-	prev := head
-	for _, t := range newPath[1:] {
-		if t == tail {
-			parent[tail] = prev
-			prev = t
-			continue
-		}
-		if _, ok := parent[t]; !ok && t != rt.Tile[0] {
-			parent[t] = prev
-		}
-		prev = t
-	}
-	sinks := make([]geom.Pt, len(rt.SinkNode))
-	for k, sn := range rt.SinkNode {
-		sinks[k] = rt.Tile[sn]
-	}
-	nt, err := rtree.FromParentMap(rt.Tile[0], parent, sinks)
-	if err != nil {
-		return nil, err
-	}
-	return nt.Prune(), nil
 }
 
 // dpLibrary converts the planning library into the DP's per-net view for a
@@ -832,20 +842,29 @@ func dpLibrary(lib []tech.LibGate, base tech.Gate, L int) []bufferdp.LibGate {
 
 // sinkDelays evaluates net i's sink delays on route rt with the gates the
 // DP actually chose: the single planning buffer in single-type runs, or
-// the per-buffer library gates when Params.Library is active.
-func (s *state) sinkDelays(rt *rtree.Tree, i int) ([]float64, error) {
+// the per-buffer library gates when Params.Library is active. The result
+// lives in the slot's scratch until its next use.
+func (s *state) sinkDelays(sl *evalSlot, rt *rtree.Tree, i int) ([]float64, error) {
 	if !s.hasAsg[i] {
-		return s.eval.SinkDelays(rt, nil)
+		return s.eval.SinkDelaysInto(&sl.sc, rt, nil, nil)
 	}
 	a := s.asg[i]
 	if a.Gates == nil {
-		return s.eval.SinkDelays(rt, a.Buffers)
+		return s.eval.SinkDelaysInto(&sl.sc, rt, a.Buffers, nil)
 	}
-	placed := make([]delay.Placed, len(a.Buffers))
-	for k, b := range a.Buffers {
-		placed[k] = delay.Placed{Buf: b, Gate: s.p.Library[a.Gates[k]].Electrical()}
+	sl.gates = sl.gates[:0]
+	for _, gi := range a.Gates {
+		sl.gates = append(sl.gates, s.p.Library[gi].Electrical())
 	}
-	return s.eval.SinkDelaysSized(rt, placed)
+	return s.eval.SinkDelaysInto(&sl.sc, rt, a.Buffers, sl.gates)
+}
+
+// evalSlots sizes the per-worker-slot scratch for a fan-out over n nets.
+func (s *state) evalSlots(n int) []evalSlot {
+	if w := min(par.Workers(s.p.Workers), n); len(s.slots) < w {
+		s.slots = append(s.slots, make([]evalSlot, w-len(s.slots))...)
+	}
+	return s.slots
 }
 
 // addDemand adjusts p(v) on every tile of a route.
@@ -866,8 +885,9 @@ func (s *state) addDemand(rt *rtree.Tree, d float64) {
 // most critical. All broken nets are reported, joined in net-index order.
 func (s *state) refreshDelays() error {
 	evs := obs.NewIndexBuffers(s.obs, len(s.routes))
-	err := par.ForEachCtx(s.ctx, s.p.Workers, len(s.routes), func(i int) error {
-		ds, err := s.sinkDelays(s.routes[i], i)
+	slots := s.evalSlots(len(s.routes))
+	err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.routes), func(w, i int) error {
+		ds, err := s.sinkDelays(&slots[w], s.routes[i], i)
 		if err != nil {
 			s.delays[i] = math.Inf(1)
 			evs.Emit(i, obs.Event{Kind: obs.KindCounter, Scope: "delay.eval_errors", Stage: s.stage, Net: s.c.Nets[i].ID, Value: 1})
@@ -916,41 +936,50 @@ func (s *state) snapshot(stage int) StageStats {
 		Buffers:   bs.Buffers,
 	}
 	// The per-net accounting (dominated by the Elmore evaluation) fans out
-	// over the worker pool into per-net slots; the floating-point delay
-	// reduction below runs sequentially in net-index order so the stats are
+	// over the worker pool into per-net slots — each net's sink delays into
+	// its own span of one flat buffer; the floating-point delay reduction
+	// below runs sequentially in net-index order so the stats are
 	// bit-identical for every worker count.
-	type netAcct struct {
-		edges int
-		fail  bool
-		ds    []float64
+	n := len(s.routes)
+	sn := &s.snap
+	sn.fail, sn.ok = growBools(sn.fail, n), growBools(sn.ok, n)
+	if cap(sn.off) < n+1 {
+		sn.off = make([]int, n+1)
 	}
-	accts := make([]netAcct, len(s.routes))
-	_ = par.ForEach(s.p.Workers, len(s.routes), func(i int) error {
+	sn.off = sn.off[:n+1]
+	wireTiles := 0
+	for i, rt := range s.routes {
+		sn.off[i+1] = sn.off[i] + len(rt.SinkNode)
+		wireTiles += rt.NumEdges()
+	}
+	if cap(sn.ds) < sn.off[n] {
+		sn.ds = make([]float64, sn.off[n])
+	}
+	sn.ds = sn.ds[:sn.off[n]]
+	slots := s.evalSlots(n)
+	_ = par.ForEachWorker(s.p.Workers, n, func(w, i int) error {
 		rt := s.routes[i]
-		a := &accts[i]
-		a.edges = rt.NumEdges()
 		if s.hasAsg[i] {
-			if !s.asg[i].Feasible() {
-				a.fail = true
-			}
-		} else if rt.NumEdges() > s.c.Nets[i].L {
+			sn.fail[i] = !s.asg[i].Feasible()
+		} else {
 			// Before buffering, a net fails whenever its driver would have
 			// to drive more than L tile units on its own.
-			a.fail = true
+			sn.fail[i] = rt.NumEdges() > s.c.Nets[i].L
 		}
-		if ds, err := s.sinkDelays(rt, i); err == nil {
-			a.ds = ds
+		if ds, err := s.sinkDelays(&slots[w], rt, i); err == nil {
+			copy(sn.ds[sn.off[i]:sn.off[i+1]], ds)
+			sn.ok[i] = true
 		}
 		return nil
 	})
 	var dst delay.Stats
-	wireTiles := 0
-	for i := range accts {
-		wireTiles += accts[i].edges
-		if accts[i].fail {
+	for i := 0; i < n; i++ {
+		if sn.fail[i] {
 			st.Fails++
 		}
-		dst.Add(accts[i].ds)
+		if sn.ok[i] {
+			dst.Add(sn.ds[sn.off[i]:sn.off[i+1]])
+		}
 	}
 	st.WirelenMm = float64(wireTiles) * s.c.TileUm / 1000
 	st.MaxDelayPs = dst.MaxPs()

@@ -1,11 +1,69 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
+
+// spliceTwoPath runs one splice on a fresh splicer into a fresh tree.
+func spliceTwoPath(rt *rtree.Tree, pick []int, newPath []geom.Pt) (*rtree.Tree, error) {
+	var sp splicer
+	nt := &rtree.Tree{}
+	if err := sp.splice(rt, pick, newPath, nt); err != nil {
+		return nil, err
+	}
+	return nt, nil
+}
+
+// spliceOracle is the map-based splice the splicer replaced: build the
+// parent map of the surviving old edges and the new path's first visits,
+// assemble it with rtree.FromParentMap, and prune. The splicer must match
+// it node for node.
+func spliceOracle(rt *rtree.Tree, pick []int, newPath []geom.Pt) (*rtree.Tree, error) {
+	head := rt.Tile[pick[0]]
+	tail := rt.Tile[pick[len(pick)-1]]
+	if newPath[0] != head || newPath[len(newPath)-1] != tail {
+		return nil, fmt.Errorf("endpoints")
+	}
+	interior := map[geom.Pt]bool{}
+	for _, v := range pick[1 : len(pick)-1] {
+		interior[rt.Tile[v]] = true
+	}
+	parent := map[geom.Pt]geom.Pt{}
+	for v := 1; v < rt.NumNodes(); v++ {
+		t := rt.Tile[v]
+		if interior[t] || t == tail {
+			continue
+		}
+		parent[t] = rt.Tile[rt.Parent[v]]
+	}
+	prev := head
+	for _, t := range newPath[1:] {
+		if t == tail {
+			parent[tail] = prev
+			prev = t
+			continue
+		}
+		if _, ok := parent[t]; !ok && t != rt.Tile[0] {
+			parent[t] = prev
+		}
+		prev = t
+	}
+	sinks := make([]geom.Pt, len(rt.SinkNode))
+	for k, sn := range rt.SinkNode {
+		sinks[k] = rt.Tile[sn]
+	}
+	nt, err := rtree.FromParentMap(rt.Tile[0], parent, sinks)
+	if err != nil {
+		return nil, err
+	}
+	return nt.Prune(), nil
+}
 
 // mkTree builds a route tree from a parent map.
 func mkTree(t *testing.T, src geom.Pt, parent map[geom.Pt]geom.Pt, sinks []geom.Pt) *rtree.Tree {
@@ -153,5 +211,159 @@ func TestSpliceSelfCrossingPathDedups(t *testing.T) {
 	}
 	if nt.Tile[nt.SinkNode[0]] != (geom.Pt{X: 2}) {
 		t.Error("sink lost")
+	}
+}
+
+// randomRoute grows a random route tree by a lattice random walk with
+// branching restarts, with sinks on every leaf and on a few random tiles.
+func randomRoute(t *testing.T, r *rand.Rand, steps int) *rtree.Tree {
+	t.Helper()
+	src := geom.Pt{X: r.Intn(5), Y: r.Intn(5)}
+	parent := map[geom.Pt]geom.Pt{}
+	visited := []geom.Pt{src}
+	for i := 0; i < steps; i++ {
+		cur := visited[r.Intn(len(visited))]
+		nxt := cur.Add([4]geom.Pt{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}[r.Intn(4)])
+		if _, ok := parent[nxt]; ok || nxt == src {
+			continue
+		}
+		parent[nxt] = cur
+		visited = append(visited, nxt)
+	}
+	hasKid := map[geom.Pt]bool{}
+	for _, p := range parent {
+		hasKid[p] = true
+	}
+	var sinks []geom.Pt
+	for _, p := range visited[1:] {
+		if !hasKid[p] || r.Intn(6) == 0 {
+			sinks = append(sinks, p)
+		}
+	}
+	if len(sinks) == 0 {
+		sinks = []geom.Pt{src}
+	}
+	return mkTree(t, src, parent, sinks)
+}
+
+// randomReconnection returns a head..tail path avoiding every tree tile
+// but the two-path's own (as Stage 4's blocked mask does), found by a
+// breadth-first search in random neighbor order around random obstacles,
+// sometimes with a there-and-back excursion that revisits a tile.
+func randomReconnection(r *rand.Rand, rt *rtree.Tree, pick []int) []geom.Pt {
+	blocked := map[geom.Pt]bool{}
+	for _, p := range rt.Tile {
+		blocked[p] = true
+	}
+	for _, v := range pick {
+		blocked[rt.Tile[v]] = false
+	}
+	head, tail := rt.Tile[pick[0]], rt.Tile[pick[len(pick)-1]]
+	lo, hi := head, head
+	for _, p := range rt.Tile {
+		lo = geom.Pt{X: min(lo.X, p.X) - 2, Y: min(lo.Y, p.Y) - 2}
+		hi = geom.Pt{X: max(hi.X, p.X) + 2, Y: max(hi.Y, p.Y) + 2}
+	}
+	for tries := 0; ; tries++ {
+		obstacle := map[geom.Pt]bool{}
+		if tries < 5 {
+			for k := 0; k < 6; k++ {
+				o := geom.Pt{X: lo.X + r.Intn(hi.X-lo.X+1), Y: lo.Y + r.Intn(hi.Y-lo.Y+1)}
+				if o != head && o != tail {
+					obstacle[o] = true
+				}
+			}
+		}
+		prev := map[geom.Pt]geom.Pt{head: head}
+		queue := []geom.Pt{head}
+		for len(queue) > 0 && !hasKey(prev, tail) {
+			u := queue[0]
+			queue = queue[1:]
+			dirs := [4]geom.Pt{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+			r.Shuffle(4, func(i, j int) { dirs[i], dirs[j] = dirs[j], dirs[i] })
+			for _, d := range dirs {
+				v := u.Add(d)
+				if v.X < lo.X || v.Y < lo.Y || v.X > hi.X || v.Y > hi.Y || blocked[v] || obstacle[v] || hasKey(prev, v) {
+					continue
+				}
+				prev[v] = u
+				queue = append(queue, v)
+			}
+		}
+		if !hasKey(prev, tail) {
+			continue
+		}
+		var path []geom.Pt
+		for p := tail; p != head; p = prev[p] {
+			path = append(path, p)
+		}
+		path = append(path, head)
+		slices.Reverse(path)
+		if len(path) > 2 && r.Intn(3) == 0 {
+			// Step off the path and back: the walk revisits path[k].
+			k := 1 + r.Intn(len(path)-2)
+			for _, d := range []geom.Pt{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
+				x := path[k].Add(d)
+				if !blocked[x] && !slices.Contains(path, x) {
+					path = slices.Insert(path, k+1, x, path[k])
+					break
+				}
+			}
+		}
+		return path
+	}
+}
+
+func hasKey(m map[geom.Pt]geom.Pt, p geom.Pt) bool {
+	_, ok := m[p]
+	return ok
+}
+
+// TestSpliceMatchesOracleRandom runs one dirty splicer, building into
+// recycled carcasses, over random trees, two-paths and reconnections —
+// including the rework's own sequence of splices on one net — and
+// requires every result to be node-identical to the map-based oracle.
+func TestSpliceMatchesOracleRandom(t *testing.T) {
+	var sp splicer
+	var free []*rtree.Tree
+	take := func() *rtree.Tree {
+		if n := len(free); n > 0 {
+			nt := free[n-1]
+			free = free[:n-1]
+			return nt
+		}
+		return &rtree.Tree{}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rt := randomRoute(t, r, 1+r.Intn(80))
+		for step := 0; step < 4; step++ {
+			paths := rt.TwoPaths()
+			if len(paths) == 0 {
+				break
+			}
+			pick := paths[r.Intn(len(paths))]
+			newPath := randomReconnection(r, rt, pick)
+			want, werr := spliceOracle(rt, pick, newPath)
+			got := take()
+			gerr := sp.splice(rt, pick, newPath, got)
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("seed %d step %d: oracle err %v, splicer err %v", seed, step, werr, gerr)
+			}
+			if werr != nil {
+				free = append(free, got)
+				break
+			}
+			if !slices.Equal(got.Tile, want.Tile) || !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.SinkNode, want.SinkNode) {
+				t.Fatalf("seed %d step %d: splice differs from oracle\n got  %v %v %v\n want %v %v %v",
+					seed, step, got.Tile, got.Parent, got.SinkNode, want.Tile, want.Parent, want.SinkNode)
+			}
+			if err := got.Validate(nil); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			rt.Reset()
+			free = append(free, rt)
+			rt = got
+		}
 	}
 }

@@ -48,73 +48,120 @@ type Placed struct {
 	Gate tech.Gate
 }
 
-// buffering is the per-tree view of an assignment.
-type buffering struct {
-	trunk  []*tech.Gate          // trunk buffer at node (nil = none)
-	branch map[[2]int]*tech.Gate // branch buffer on edge (node, child)
-}
-
-func newBuffering(rt *rtree.Tree, bufs []Placed) (buffering, error) {
-	b := buffering{
-		trunk:  make([]*tech.Gate, rt.NumNodes()),
-		branch: map[[2]int]*tech.Gate{},
-	}
-	for _, pl := range bufs {
-		bf := pl.Buf
-		g := pl.Gate
-		if bf.Node < 0 || bf.Node >= rt.NumNodes() {
-			return b, fmt.Errorf("delay: buffer node %d out of range", bf.Node)
-		}
-		if bf.Branch == -1 {
-			b.trunk[bf.Node] = &g
-			continue
-		}
-		if bf.Branch < 0 || bf.Branch >= rt.NumNodes() || rt.Parent[bf.Branch] != bf.Node {
-			return b, fmt.Errorf("delay: buffer branch %d is not a child of %d", bf.Branch, bf.Node)
-		}
-		b.branch[[2]int{bf.Node, bf.Branch}] = &g
-	}
-	return b, nil
-}
-
 // SinkDelays returns the Elmore delay in seconds from the net's driver to
 // each sink, in the order of rt.SinkNode, with every buffer using the
 // technology's single planning buffer.
 func (e Evaluator) SinkDelays(rt *rtree.Tree, bufs []bufferdp.Buffer) ([]float64, error) {
-	placed := make([]Placed, len(bufs))
-	for i, b := range bufs {
-		placed[i] = Placed{Buf: b, Gate: e.Tech.Buffer}
-	}
-	return e.SinkDelaysSized(rt, placed)
+	var sc Scratch
+	return e.SinkDelaysInto(&sc, rt, bufs, nil)
 }
 
 // SinkDelaysSized is SinkDelays with an explicit gate per buffer, for
 // timing-driven flows that choose sizes from a library.
 func (e Evaluator) SinkDelaysSized(rt *rtree.Tree, bufs []Placed) ([]float64, error) {
-	bf, err := newBuffering(rt, bufs)
-	if err != nil {
-		return nil, err
+	bs := make([]bufferdp.Buffer, len(bufs))
+	gates := make([]tech.Gate, len(bufs))
+	for k, pl := range bufs {
+		bs[k], gates[k] = pl.Buf, pl.Gate
+	}
+	var sc Scratch
+	return e.SinkDelaysInto(&sc, rt, bs, gates)
+}
+
+// Scratch is the reusable working memory of SinkDelaysInto: per-node
+// arrays that grow to the largest tree seen. The zero value is ready to
+// use; one Scratch serves one goroutine at a time.
+type Scratch struct {
+	// trunk[v] is the index in bufs of the trunk buffer at node v, and
+	// branch[w] that of the branch buffer on the edge into child w (every
+	// child has one parent, so the edge is named by its child); -1 means
+	// none.
+	trunk, branch []int32
+	sinks         []int32 // sinks carried per node
+	junction      []float64
+	arrival       []float64
+	order         []int
+	out           []float64
+}
+
+// grow sizes the per-node arrays for n nodes and the result for m sinks.
+func (sc *Scratch) grow(n, m int) {
+	if cap(sc.trunk) < n {
+		sc.trunk = make([]int32, n)
+		sc.branch = make([]int32, n)
+		sc.sinks = make([]int32, n)
+		sc.junction = make([]float64, n)
+		sc.arrival = make([]float64, n)
+	}
+	sc.trunk, sc.branch, sc.sinks = sc.trunk[:n], sc.branch[:n], sc.sinks[:n]
+	sc.junction, sc.arrival = sc.junction[:n], sc.arrival[:n]
+	if cap(sc.out) < m {
+		sc.out = make([]float64, m)
+	}
+	sc.out = sc.out[:m]
+}
+
+// SinkDelaysInto is the allocation-free form of SinkDelays and
+// SinkDelaysSized: gates, when non-nil, parallels bufs with each buffer's
+// gate, and nil means every buffer is the planning buffer. The returned
+// slice is owned by sc and valid until its next use.
+//
+// Loads are summed bottom-up over a post-order and arrival times pushed
+// top-down over its reverse (every node after its parent). Each junction
+// sum adds a node's children in index order, and each arrival is the same
+// expression of its parent's arrival as in a recursive descent, so the
+// results are bit-identical to it.
+func (e Evaluator) SinkDelaysInto(sc *Scratch, rt *rtree.Tree, bufs []bufferdp.Buffer, gates []tech.Gate) ([]float64, error) {
+	n := rt.NumNodes()
+	if gates != nil && len(gates) != len(bufs) {
+		return nil, fmt.Errorf("delay: %d gates for %d buffers", len(gates), len(bufs)) //rabid:allow allocfree cold argument-error path
+	}
+	sc.grow(n, len(rt.SinkNode))
+	for v := range sc.trunk {
+		sc.trunk[v], sc.branch[v], sc.sinks[v] = -1, -1, 0
+	}
+	for k, bf := range bufs {
+		if bf.Node < 0 || bf.Node >= n {
+			return nil, fmt.Errorf("delay: buffer node %d out of range", bf.Node) //rabid:allow allocfree cold corrupt-assignment path
+		}
+		if bf.Branch == -1 {
+			sc.trunk[bf.Node] = int32(k) //rabid:allow narrowcast k < len(bufs): a few buffers per node of a tree over fewer than MaxInt32 grid tiles
+			continue
+		}
+		if bf.Branch < 0 || bf.Branch >= n || rt.Parent[bf.Branch] != bf.Node {
+			return nil, fmt.Errorf("delay: buffer branch %d is not a child of %d", bf.Branch, bf.Node) //rabid:allow allocfree cold corrupt-assignment path
+		}
+		sc.branch[bf.Branch] = int32(k) //rabid:allow narrowcast k < len(bufs): a few buffers per node of a tree over fewer than MaxInt32 grid tiles
+	}
+	for _, s := range rt.SinkNode {
+		sc.sinks[s]++
+	}
+	gate := func(k int32) tech.Gate {
+		if gates != nil {
+			return gates[k]
+		}
+		return e.Tech.Buffer
 	}
 	t := e.Tech
 	wireR := t.WireRes(e.TileUm)
 	wireC := t.WireCap(e.TileUm)
 
-	n := rt.NumNodes()
 	// junction[v]: capacitance at node v's junction (after a trunk buffer,
-	// if any) looking down.
-	junction := make([]float64, n)
-	// nodeLoad(v): capacitance the incoming wire sees at v.
+	// if any) looking down. nodeLoad(v): capacitance the incoming wire sees
+	// at v.
+	junction := sc.junction
 	nodeLoad := func(v int) float64 {
-		if g := bf.trunk[v]; g != nil {
-			return g.InCap
+		if k := sc.trunk[v]; k >= 0 {
+			return gate(k).InCap
 		}
 		return junction[v]
 	}
-	for _, v := range rt.PostOrder() {
-		c := float64(rt.SinksAt(v)) * t.SinkCap
+	sc.order = rt.PostOrderInto(sc.order)
+	for _, v := range sc.order {
+		c := float64(sc.sinks[v]) * t.SinkCap
 		for _, w := range rt.Children(v) {
-			if g := bf.branch[[2]int{v, w}]; g != nil {
-				c += g.InCap
+			if k := sc.branch[w]; k >= 0 {
+				c += gate(k).InCap
 			} else {
 				c += wireC + nodeLoad(w)
 			}
@@ -122,58 +169,49 @@ func (e Evaluator) SinkDelaysSized(rt *rtree.Tree, bufs []Placed) ([]float64, er
 		junction[v] = c
 	}
 
-	arrival := make([]float64, n)
+	arrival := sc.arrival
 	for i := range arrival {
 		arrival[i] = math.NaN()
 	}
-
-	// descend propagates arrival times inside one gate stage starting at
-	// node v's junction with arrival time tAt.
-	var descend func(v int, tAt float64)
-	// driveJunction starts a gate (driver or buffer) with output resistance
-	// rg at node v's junction; t0 is the arrival at the gate input plus its
-	// intrinsic delay.
-	driveJunction := func(v int, rg, t0 float64) {
-		descend(v, t0+rg*junction[v])
-	}
-	// enterNode handles arrival at node w's junction entry, accounting for
-	// a trunk buffer there.
-	enterNode := func(w int, tw float64) {
-		if g := bf.trunk[w]; g != nil {
-			driveJunction(w, g.OutRes, tw+g.Intrinsic)
-		} else {
-			descend(w, tw)
-		}
-	}
-	descend = func(v int, tAt float64) {
-		arrival[v] = tAt
-		for _, w := range rt.Children(v) {
-			if g := bf.branch[[2]int{v, w}]; g != nil {
-				// Dedicated buffer at v for this branch.
-				t1 := tAt + g.Intrinsic
-				load := wireC + nodeLoad(w)
-				tw := t1 + g.OutRes*load + wireR*(wireC/2+nodeLoad(w))
-				enterNode(w, tw)
-				continue
+	for i := len(sc.order) - 1; i >= 0; i-- {
+		w := sc.order[i]
+		if w == 0 {
+			// The driver (or a buffer right at the source tile, which the
+			// driver sees only through its input capacitance) starts the
+			// first stage at the root junction.
+			t0, rg := 0.0, t.DriverRes
+			if k := sc.trunk[0]; k >= 0 {
+				g := gate(k)
+				t0, rg = t.DriverRes*g.InCap+g.Intrinsic, g.OutRes
 			}
-			tw := tAt + wireR*(wireC/2+nodeLoad(w))
-			enterNode(w, tw)
+			arrival[0] = t0 + rg*junction[0]
+			continue
+		}
+		tAt := arrival[rt.Parent[w]]
+		var tw float64
+		if k := sc.branch[w]; k >= 0 {
+			// Dedicated buffer at the parent for this branch.
+			g := gate(k)
+			t1 := tAt + g.Intrinsic
+			load := wireC + nodeLoad(w)
+			tw = t1 + g.OutRes*load + wireR*(wireC/2+nodeLoad(w))
+		} else {
+			tw = tAt + wireR*(wireC/2+nodeLoad(w))
+		}
+		// Entering w's junction: a trunk buffer there starts a new stage.
+		if k := sc.trunk[w]; k >= 0 {
+			g := gate(k)
+			t0 := tw + g.Intrinsic
+			arrival[w] = t0 + g.OutRes*junction[w]
+		} else {
+			arrival[w] = tw
 		}
 	}
-	if g := bf.trunk[0]; g != nil {
-		// A buffer right at the source tile: the driver sees only its
-		// input capacitance.
-		t0 := t.DriverRes*g.InCap + g.Intrinsic
-		driveJunction(0, g.OutRes, t0)
-	} else {
-		driveJunction(0, t.DriverRes, 0)
-	}
 
-	out := make([]float64, len(rt.SinkNode))
 	for i, s := range rt.SinkNode {
-		out[i] = arrival[s]
+		sc.out[i] = arrival[s]
 	}
-	return out, nil
+	return sc.out, nil
 }
 
 // Stats summarizes a set of per-sink delays.

@@ -50,54 +50,39 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // Which indices ran before the cancellation landed is timing-dependent;
 // with an undone context the behaviour and results are exactly ForEach's.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	errs := make([]error, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			errs[i] = capture(i, fn)
-		}
-		return errors.Join(append(errs, ctx.Err())...)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = capture(i, fn)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(append(errs, ctx.Err())...)
+	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorker is ForEach for workloads needing per-worker scratch state:
 // fn receives a worker slot w in [0, min(Workers(workers), n)) alongside
 // the item index, and no two concurrent invocations share a slot, so fn
 // may address exclusive per-slot scratch (the parallel router's per-worker
-// workspaces). Which items land on which slot is timing-dependent, exactly
-// as with ForEach; determinism of results must come from fn writing only
-// to per-index state and from slot scratch never influencing outputs. With
-// a single worker (or single item) fn runs inline on slot 0 in index
-// order.
+// workspaces, the delay evaluator's per-worker arenas). Which items land
+// on which slot is timing-dependent, exactly as with ForEach; determinism
+// of results must come from fn writing only to per-index state and from
+// slot scratch never influencing outputs. With a single worker (or single
+// item) fn runs inline on slot 0 in index order.
 func ForEachWorker(workers, n int, fn func(w, i int) error) error {
+	return forEachWorker(nil, workers, n, fn)
+}
+
+// ForEachWorkerCtx is ForEachWorker with ForEachCtx's cancellation
+// contract.
+func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(w, i int) error) error {
+	return forEachWorker(ctx, workers, n, fn)
+}
+
+// forEachWorker implements the fan-outs; a nil ctx is never done, so the
+// uncancellable variant originates no context.
+func forEachWorker(ctx context.Context, workers, n int, fn func(w, i int) error) error {
+	ctxErr := func() error {
+		if ctx == nil {
+			return nil
+		}
+		return ctx.Err()
+	}
 	if n <= 0 {
-		return nil
+		return ctxErr()
 	}
 	w := Workers(workers)
 	if w > n {
@@ -105,11 +90,13 @@ func ForEachWorker(workers, n int, fn func(w, i int) error) error {
 	}
 	errs := make([]error, n)
 	if w == 1 {
-		f0 := func(i int) error { return fn(0, i) }
 		for i := 0; i < n; i++ {
-			errs[i] = capture(i, f0)
+			if ctxErr() != nil {
+				break
+			}
+			errs[i] = capture(i, func(i int) error { return fn(0, i) })
 		}
-		return errors.Join(errs...)
+		return errors.Join(append(errs, ctxErr())...)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -117,7 +104,7 @@ func ForEachWorker(workers, n int, fn func(w, i int) error) error {
 	for g := 0; g < w; g++ {
 		go func(slot int) {
 			defer wg.Done()
-			for {
+			for ctxErr() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -127,7 +114,7 @@ func ForEachWorker(workers, n int, fn func(w, i int) error) error {
 		}(g)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(append(errs, ctxErr())...)
 }
 
 // capture invokes fn(i), converting a panic into an error.

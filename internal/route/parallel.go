@@ -109,10 +109,11 @@ type Parallel struct {
 		replayed    int // serial replays (conflicted or failed speculations)
 	}
 
-	// Per-order-position scratch, reused across batches and passes.
+	// Per-batch-position scratch, reused across batches and passes: the
+	// net at order position jj of the batch starting at s uses slot jj-s.
 	boxes []specBox    // bounding boxes of the current batch
 	specs []specResult // speculative route trees / errors
-	reads [][]specRead // read sets, one per order position
+	reads [][]specRead // read sets
 	bufs  []obs.Buffer // buffered per-net telemetry
 	wss   []*Workspace // per-worker-slot workspaces, held per Pass
 	rr    int          // round-robin cursor for carcass redistribution
@@ -134,7 +135,8 @@ func NewParallel(workers int, pool *Pool) *Parallel {
 	return &Parallel{workers: workers, pool: pool}
 }
 
-// grow sizes the per-order-position scratch for a pass over n nets.
+// grow sizes the per-batch-position scratch for a batch of n nets. The
+// read sets already grown are kept, so their buffers are reused.
 func (px *Parallel) grow(n int) {
 	if len(px.specs) < n {
 		px.specs = make([]specResult, n)
@@ -208,18 +210,17 @@ func rerouteSpec(g *tile.Graph, n *netlist.Net, old *rtree.Tree, opt Options, ws
 	return rt, reads, err
 }
 
-// speculate routes order[jj]'s net speculatively on worker slot w, storing
-// the tree, read set, and buffered telemetry in position jj's scratch.
-func (px *Parallel) speculate(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, order []int, opt Options, w, jj int) {
-	i := order[jj]
+// speculate routes net i speculatively on worker slot w, storing the tree,
+// read set, and buffered telemetry in batch position k's scratch.
+func (px *Parallel) speculate(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, i int, opt Options, w, k int) {
 	sopt := opt
 	if opt.Obs != nil {
-		px.bufs[jj].Reset()
-		sopt.Obs = &px.bufs[jj]
+		px.bufs[k].Reset()
+		sopt.Obs = &px.bufs[k]
 	}
-	rt, reads, rerr := rerouteSpec(g, nets[i], routes[i], sopt, px.wss[w], px.reads[jj])
-	px.reads[jj] = reads
-	px.specs[jj] = specResult{tree: rt, err: rerr}
+	rt, reads, rerr := rerouteSpec(g, nets[i], routes[i], sopt, px.wss[w], px.reads[k])
+	px.reads[k] = reads
+	px.specs[k] = specResult{tree: rt, err: rerr}
 }
 
 // Pass runs one full rip-up pass over order with the speculate-then-commit
@@ -233,7 +234,6 @@ func (px *Parallel) Pass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tre
 		ws = NewWorkspace()
 	}
 	n := len(order)
-	px.grow(n)
 	// Acquire one workspace per worker slot for the pass; the pool keeps
 	// their scratch arrays warm across passes and runs.
 	slots := par.Workers(px.workers)
@@ -262,12 +262,13 @@ func (px *Parallel) Pass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tre
 		// outcome is identical either way.
 		snap := g.UsageEpoch()
 		px.stats.speculative += e - s
+		px.grow(e - s)
 		if slots == 1 {
-			for jj := s; jj < e; jj++ {
-				px.speculate(g, nets, routes, order, opt, 0, jj)
+			for k := 0; k < e-s; k++ {
+				px.speculate(g, nets, routes, order[s+k], opt, 0, k)
 			}
 		} else if ferr := par.ForEachWorker(px.workers, e-s, func(w, k int) error {
-			px.speculate(g, nets, routes, order, opt, w, s+k)
+			px.speculate(g, nets, routes, order[s+k], opt, w, k)
 			return nil
 		}); ferr != nil {
 			// Only a panic inside a worker reaches here (speculation
@@ -277,17 +278,17 @@ func (px *Parallel) Pass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tre
 
 		// Commit in net order.
 		for jj := s; jj < e; jj++ {
-			i := order[jj]
+			i, k := order[jj], jj-s
 			old := routes[i]
 			oldEdges := old.NumEdges()
-			sp := px.specs[jj]
-			px.specs[jj] = specResult{}
+			sp := px.specs[k]
+			px.specs[k] = specResult{}
 			var rt *rtree.Tree
-			if sp.err == nil && !conflicted(g, px.reads[jj], snap) {
+			if sp.err == nil && !conflicted(g, px.reads[k], snap) {
 				// The speculation priced exactly the usage a sequential
 				// reroute would see here; adopt its tree and telemetry.
 				rt = sp.tree
-				px.bufs[jj].FlushTo(opt.Obs)
+				px.bufs[k].FlushTo(opt.Obs)
 				RemoveUsage(g, old)
 			} else {
 				// Stale or failed speculation: discard it and replay this
@@ -298,13 +299,13 @@ func (px *Parallel) Pass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tre
 					ws.Recycle(sp.tree)
 				}
 				px.stats.replayed++
-				px.bufs[jj].Reset()
+				px.bufs[k].Reset()
 				RemoveUsage(g, old)
 				var rerr error
 				rt, rerr = Reroute(g, nets[i], opt, ws)
 				if rerr != nil {
 					AddUsage(g, old) // restore before failing, like RipupPass
-					px.drop(jj+1, e, ws)
+					px.drop(k+1, e-s, ws)
 					return committed, fmt.Errorf("route: rip-up pass failed at net %d after %d of %d commits: %w",
 						nets[i].ID, committed, len(order), rerr)
 				}
@@ -337,14 +338,14 @@ func (px *Parallel) Pass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tre
 	return committed, nil
 }
 
-// drop releases the uncommitted remainder [jj, e) of a batch after a
-// mid-batch failure: speculative trees are recycled and buffered telemetry
+// drop releases the uncommitted batch positions [k, e) after a mid-batch
+// failure: speculative trees are recycled and buffered telemetry
 // discarded, leaving routes and the graph exactly as the sequential
 // kernel's error path would.
-func (px *Parallel) drop(jj, e int, ws *Workspace) {
-	for ; jj < e; jj++ {
-		ws.Recycle(px.specs[jj].tree)
-		px.specs[jj] = specResult{}
-		px.bufs[jj].Reset()
+func (px *Parallel) drop(k, e int, ws *Workspace) {
+	for ; k < e; k++ {
+		ws.Recycle(px.specs[k].tree)
+		px.specs[k] = specResult{}
+		px.bufs[k].Reset()
 	}
 }

@@ -278,7 +278,7 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 	slices.Sort(tb)
 	ws.touched = tb
 
-	rt := ws.takeTree() //rabid:allow allocfree fresh tree only when the recycle pool is empty; the steady state reuses storage returned through Recycle
+	rt := ws.TakeTree() //rabid:allow allocfree fresh tree only when the recycle pool is empty; the steady state reuses storage returned through Recycle
 	rt.Tile = append(rt.Tile, src)
 	rt.Parent = append(rt.Parent, -1)
 	ws.nstamp[srcIdx] = ep

@@ -229,8 +229,9 @@ func (ws *Workspace) popPQ() pqItem {
 
 // --- tree recycling ----------------------------------------------------
 
-// takeTree returns a recycled tree carcass, or a fresh one.
-func (ws *Workspace) takeTree() *rtree.Tree {
+// TakeTree returns a recycled tree carcass, or a fresh one. Besides the
+// router, Stage 4's two-path splice builds its trees into these carcasses.
+func (ws *Workspace) TakeTree() *rtree.Tree {
 	if n := len(ws.free); n > 0 {
 		t := ws.free[n-1]
 		ws.free[n-1] = nil

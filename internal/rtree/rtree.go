@@ -20,7 +20,13 @@ type Tree struct {
 	Parent   []int // Parent[0] == -1
 	SinkNode []int
 
-	children [][]int // built lazily
+	// Child adjacency in compressed sparse row form, built lazily by
+	// Children/PostOrderInto: the children of v are kids[off[v]:off[v+1]]
+	// in increasing index order, and pos[w] is w's slot in kids. The three
+	// slices keep their capacity across Reset, so a recycled tree rebuilds
+	// its adjacency without allocating.
+	kids, off, pos []int
+	built          bool
 }
 
 // FromParentMap assembles a Tree from a parent-pointer map produced by a
@@ -84,12 +90,13 @@ func FromParentMap(source geom.Pt, parent map[geom.Pt]geom.Pt, sinks []geom.Pt) 
 
 // Reset empties the tree in place, keeping the slice capacity, so its
 // storage can back a new route (see route.Workspace.Recycle). The cached
-// child adjacency is dropped — it would describe the old shape.
+// child adjacency is invalidated — it would describe the old shape — but
+// its storage is kept for the next build.
 func (t *Tree) Reset() {
 	t.Tile = t.Tile[:0]
 	t.Parent = t.Parent[:0]
 	t.SinkNode = t.SinkNode[:0]
-	t.children = nil
+	t.built = false
 }
 
 // NumNodes returns the number of tiles spanned by the route.
@@ -98,41 +105,90 @@ func (t *Tree) NumNodes() int { return len(t.Tile) }
 // NumEdges returns the number of tile-graph edges used (nodes - 1).
 func (t *Tree) NumEdges() int { return len(t.Tile) - 1 }
 
-// Children returns the child node indices of v. The adjacency is built on
-// first use and cached; callers must not mutate Parent afterwards.
+// Children returns the child node indices of v, in increasing index order.
+// The adjacency is built on first use and cached; callers must not mutate
+// Parent afterwards, nor append to the returned slice.
 func (t *Tree) Children(v int) []int {
-	if t.children == nil {
-		t.children = make([][]int, len(t.Tile))
-		for i := 1; i < len(t.Parent); i++ {
-			p := t.Parent[i]
-			t.children[p] = append(t.children[p], i)
-		}
+	t.buildChildren()
+	return t.kids[t.off[v]:t.off[v+1]:t.off[v+1]]
+}
+
+// buildChildren fills the CSR adjacency by a counting sort over Parent,
+// which lands each node's children in increasing index order.
+func (t *Tree) buildChildren() {
+	if t.built {
+		return
 	}
-	return t.children[v]
+	n := len(t.Parent)
+	t.off = growInts(t.off, n+1)
+	clear(t.off)
+	for v := 1; v < n; v++ {
+		t.off[t.Parent[v]+1]++
+	}
+	for v := 0; v < n; v++ {
+		t.off[v+1] += t.off[v]
+	}
+	t.kids = growInts(t.kids, t.off[n])
+	t.pos = growInts(t.pos, n)
+	// Fill with off[p] as a cursor, then shift the cursors back: afterwards
+	// off[p] is again the start of p's run.
+	for v := 1; v < n; v++ {
+		p := t.Parent[v]
+		t.kids[t.off[p]] = v
+		t.pos[v] = t.off[p]
+		t.off[p]++
+	}
+	for v := n; v > 0; v-- {
+		t.off[v] = t.off[v-1]
+	}
+	t.off[0] = 0
+	t.built = true
+}
+
+// growInts returns s resized to n, reusing its storage when it fits.
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // PostOrder returns the node indices in post-order (children before
 // parents), root last.
 func (t *Tree) PostOrder() []int {
-	order := make([]int, 0, len(t.Tile))
-	// Iterative DFS to avoid recursion depth issues on long snakes.
-	type frame struct {
-		node, next int
+	return t.PostOrderInto(make([]int, 0, len(t.Tile)))
+}
+
+// PostOrderInto is PostOrder writing into buf (truncated first), so a
+// caller-owned buffer makes the traversal allocation-free. The walk is the
+// depth-first post-order, children visited in index order, done without a
+// stack: from a finished node the next one is its next sibling's leftmost
+// leaf, or else its parent.
+func (t *Tree) PostOrderInto(buf []int) []int {
+	order := buf[:0]
+	if len(t.Tile) == 0 {
+		return order
 	}
-	stack := []frame{{0, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := t.Children(f.node)
-		if f.next < len(kids) {
-			c := kids[f.next]
-			f.next++
-			stack = append(stack, frame{c, 0})
-			continue
+	t.buildChildren()
+	v := 0
+	for {
+		for t.off[v] < t.off[v+1] {
+			v = t.kids[t.off[v]] // descend to the leftmost leaf
 		}
-		order = append(order, f.node)
-		stack = stack[:len(stack)-1]
+		order = append(order, v)
+		for {
+			if v == 0 {
+				return order
+			}
+			p := t.Parent[v]
+			if k := t.pos[v] + 1; k < t.off[p+1] {
+				v = t.kids[k] // next sibling: descend from there
+				break
+			}
+			v = p
+			order = append(order, v)
+		}
 	}
-	return order
 }
 
 // IsSink reports whether node v carries at least one sink.
@@ -270,34 +326,73 @@ func (t *Tree) Prune() *Tree {
 // interior nodes have degree two (one child, no sink), ending at the root,
 // a sink node, or a branching (Steiner) node. Each path is returned as node
 // indices from the upstream end (head, closer to the root) to the
-// downstream end (tail).
+// downstream end (tail), ordered by (head, first interior-or-tail node).
 func (t *Tree) TwoPaths() [][]int {
+	var ps TwoPathSet
+	t.TwoPathsInto(&ps)
+	paths := make([][]int, ps.Len())
+	for k := range paths {
+		paths[k] = ps.Path(k)
+	}
+	return paths
+}
+
+// TwoPathSet is a flat two-path decomposition, reusable across calls: path
+// k is nodes[ends[k-1]:ends[k]] (ends[-1] taken as 0). The zero value is
+// an empty set.
+type TwoPathSet struct {
+	nodes []int
+	ends  []int
+	sink  []bool // per-node sink flags, scratch
+}
+
+// Len returns the number of two-paths.
+func (ps *TwoPathSet) Len() int { return len(ps.ends) }
+
+// Path returns two-path k as node indices, head first. The slice aliases
+// the set and is valid until its next fill.
+func (ps *TwoPathSet) Path(k int) []int {
+	lo := 0
+	if k > 0 {
+		lo = ps.ends[k-1]
+	}
+	return ps.nodes[lo:ps.ends[k]:ps.ends[k]]
+}
+
+// TwoPathsInto is TwoPaths writing into ps, reusing its storage. Endpoints
+// are walked in index order and each one's children in index order, which
+// already is TwoPaths' (head, next node) order — every child has one
+// parent, so no two paths share that key and no sort is needed.
+func (t *Tree) TwoPathsInto(ps *TwoPathSet) {
+	ps.nodes, ps.ends = ps.nodes[:0], ps.ends[:0]
 	n := len(t.Tile)
-	childCount := make([]int, n)
-	for v := 1; v < n; v++ {
-		childCount[t.Parent[v]]++
+	if cap(ps.sink) < n {
+		ps.sink = make([]bool, n) //rabid:allow allocfree grow path: sized to the largest tree seen
 	}
+	ps.sink = ps.sink[:n]
+	for v := range ps.sink {
+		ps.sink[v] = false
+	}
+	for _, s := range t.SinkNode {
+		ps.sink[s] = true
+	}
+	t.buildChildren()
 	endpoint := func(v int) bool {
-		return v == 0 || childCount[v] != 1 || t.IsSink(v)
+		return v == 0 || t.off[v+1]-t.off[v] != 1 || ps.sink[v]
 	}
-	var paths [][]int
-	// Walk down from every endpoint through degree-2 chains.
 	for v := 0; v < n; v++ {
 		if !endpoint(v) {
 			continue
 		}
-		for _, c := range t.Children(v) {
-			path := []int{v, c}
-			for !endpoint(path[len(path)-1]) {
-				path = append(path, t.Children(path[len(path)-1])[0])
+		for _, c := range t.kids[t.off[v]:t.off[v+1]] {
+			ps.nodes = append(ps.nodes, v, c)
+			for !endpoint(c) {
+				c = t.kids[t.off[c]]
+				ps.nodes = append(ps.nodes, c)
 			}
-			paths = append(paths, path)
+			ps.ends = append(ps.ends, len(ps.nodes))
 		}
 	}
-	sort.Slice(paths, func(i, j int) bool {
-		return paths[i][0] < paths[j][0] || (paths[i][0] == paths[j][0] && paths[i][1] < paths[j][1])
-	})
-	return paths
 }
 
 // PathTiles maps a node-index path to its tiles.

@@ -301,3 +301,50 @@ func TestSingleTileTree(t *testing.T) {
 		t.Error("prune broke single node")
 	}
 }
+
+// TestRecycledTreeTraversals: a tree whose adjacency was built, then Reset
+// and refilled with another shape (a recycled carcass), traverses exactly
+// like a freshly built tree of that shape, and the Into forms match their
+// allocating counterparts on a dirty buffer.
+func TestRecycledTreeTraversals(t *testing.T) {
+	var post []int
+	var ps TwoPathSet
+	carcass := &Tree{}
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pm, sinks := randomTreeMap(r, 1+r.Intn(60))
+		fresh, err := FromParentMap(geom.Pt{}, pm, sinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carcass.Reset()
+		carcass.Tile = append(carcass.Tile, fresh.Tile...)
+		carcass.Parent = append(carcass.Parent, fresh.Parent...)
+		carcass.SinkNode = append(carcass.SinkNode, fresh.SinkNode...)
+		want := fresh.PostOrder()
+		post = carcass.PostOrderInto(post)
+		if !reflect.DeepEqual(post, want) {
+			t.Fatalf("seed %d: recycled post-order %v, want %v", seed, post, want)
+		}
+		for v := range fresh.Tile {
+			if got, want := carcass.Children(v), fresh.Children(v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: node %d children %v, want %v", seed, v, got, want)
+			}
+		}
+		carcass.TwoPathsInto(&ps)
+		wantPaths := fresh.TwoPaths()
+		if ps.Len() != len(wantPaths) {
+			t.Fatalf("seed %d: %d two-paths, want %d", seed, ps.Len(), len(wantPaths))
+		}
+		for k, p := range wantPaths {
+			if !reflect.DeepEqual(ps.Path(k), p) {
+				t.Fatalf("seed %d: two-path %d = %v, want %v", seed, k, ps.Path(k), p)
+			}
+			// The documented order, which the pick order of Stage 4
+			// follows: by head, then by the next node.
+			if q := ps.Path(max(k-1, 0)); k > 0 && (q[0] > p[0] || q[0] == p[0] && q[1] >= p[1]) {
+				t.Fatalf("seed %d: two-paths %v and %v out of order", seed, q, p)
+			}
+		}
+	}
+}
