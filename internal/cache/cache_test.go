@@ -96,8 +96,8 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 		"SteinerMode":  {func(p *core.Params) { p.SteinerMode = core.SteinerCostDist }, true},
 		"MCFPhases":    {func(p *core.Params) { p.MCFPhases = 20 }, true},
 		"MCFEpsilon":   {func(p *core.Params) { p.MCFEpsilon = 0.2 }, true},
-		"Workers":           {func(p *core.Params) { p.Workers = 3 }, false},
-		"Observer":          {func(p *core.Params) { p.Observer = obs.NewMetrics() }, false},
+		"Workers":      {func(p *core.Params) { p.Workers = 3 }, false},
+		"Observer":     {func(p *core.Params) { p.Observer = obs.NewMetrics() }, false},
 		// Router workspace pooling is memory reuse, not configuration: the
 		// route.Workspace/adjacency machinery is mechanically equivalent to
 		// the unpooled path (golden fixtures prove byte identity), so a

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/bufferdp"
 	"repro/internal/delay"
+	"repro/internal/geom"
 	"repro/internal/mcf"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -216,7 +217,8 @@ type state struct {
 	dp     bufferdp.Scratch
 	sites  siteCheck
 	paths  rtree.TwoPathSet
-	done   []uint64 // reworked two-paths of the current net: sorted (head, tail) tile-index pairs
+	done   []uint64  // reworked two-paths of the current net: sorted (head, tail) tile-index pairs
+	walk   []geom.Pt // the ripped two-path, tail to head: the reconnection search's incumbent
 	splice splicer
 	slots  []evalSlot // per worker slot of refreshDelays and snapshot
 	snap   struct {
@@ -793,7 +795,14 @@ func (s *state) reworkNet(i int) error {
 		}
 		blocked[s.g.TileIndex(head)] = false
 		blocked[s.g.TileIndex(tail)] = false
-		newPath, err := route.BufferAwarePath(s.g, tail, head, n.L, blocked, ropt, s.ws)
+		// The ripped two-path is itself a legal reconnection; handing it to
+		// the search as the incumbent bounds the search without changing
+		// its result.
+		s.walk = s.walk[:0]
+		for x := len(pick) - 1; x >= 0; x-- {
+			s.walk = append(s.walk, rt.Tile[pick[x]]) //rabid:allow allocfree amortized grow path: the walk buffer reallocates only until it has seen the run's longest two-path
+		}
+		newPath, err := route.BufferAwarePath(s.g, tail, head, n.L, blocked, s.walk, ropt, s.ws)
 		for _, t := range rt.Tile {
 			blocked[s.g.TileIndex(t)] = false
 		}

@@ -78,35 +78,40 @@ func TestRipupPassAllocBound(t *testing.T) {
 }
 
 // TestBufferAwarePathZeroAllocSteadyState: Stage 4's maze search shares the
-// same workspace discipline as Reroute, under every kernel (astar arms its
-// residual-scan heuristic here, so this also pins that scan as alloc-free).
+// same workspace discipline as Reroute, under every kernel, with and without
+// an incumbent (astar arms its reverse-Dijkstra heuristic here, and the
+// incumbent calls run the incumbent pass and the capped arming, so this
+// also pins those as alloc-free).
 func TestBufferAwarePathZeroAllocSteadyState(t *testing.T) {
 	for _, kernel := range Kernels() {
-		t.Run(kernel, func(t *testing.T) {
-			g, _, routes, _ := benchWorkload(t)
-			tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-			blocked := make([]bool, g.NumTiles())
-			for _, p := range routes[3].Tile {
-				blocked[g.TileIndex(p)] = true
+		for _, withInc := range []bool{false, true} {
+			name := kernel
+			if withInc {
+				name += "/incumbent"
 			}
-			blocked[g.TileIndex(tail)] = false
-			blocked[g.TileIndex(head)] = false
-			opt := DefaultOptions()
-			opt.Kernel = kernel
-			ws := NewWorkspace()
-			for i := 0; i < 2; i++ {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
-					t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				g, tail, head, blocked := benchPathInstance(t)
+				var inc []geom.Pt
+				if withInc {
+					inc = benchIncumbent(t, g, tail, head, blocked)
 				}
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
-					t.Fatal(err)
+				opt := DefaultOptions()
+				opt.Kernel = kernel
+				ws := NewWorkspace()
+				for i := 0; i < 2; i++ {
+					if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, opt, ws); err != nil {
+						t.Fatal(err)
+					}
+				}
+				avg := testing.AllocsPerRun(100, func() {
+					if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, opt, ws); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg != 0 {
+					t.Fatalf("BufferAwarePath[%s] with warmed workspace: %v allocs/run, want 0", name, avg)
 				}
 			})
-			if avg != 0 {
-				t.Fatalf("BufferAwarePath[%s] with warmed workspace: %v allocs/run, want 0", kernel, avg)
-			}
-		})
+		}
 	}
 }

@@ -198,26 +198,19 @@ func BenchmarkRerouteKernelAlpha1(b *testing.B) {
 func BenchmarkBufferAwarePathKernel(b *testing.B) {
 	for _, kernel := range Kernels() {
 		b.Run(kernel, func(b *testing.B) {
-			g, _, routes, _ := benchWorkload(b)
-			tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-			blocked := make([]bool, g.NumTiles())
-			for _, t := range routes[3].Tile {
-				blocked[g.TileIndex(t)] = true
-			}
-			blocked[g.TileIndex(tail)] = false
-			blocked[g.TileIndex(head)] = false
+			g, tail, head, blocked := benchPathInstance(b)
 			opt := DefaultOptions()
 			opt.Kernel = kernel
 			probe := opt
 			probe.Obs = obs.NewMetrics()
 			ws := NewWorkspace()
-			if _, err := BufferAwarePath(g, tail, head, 6, blocked, probe, ws); err != nil {
+			if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, probe, ws); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
+				if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, opt, ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -227,23 +220,72 @@ func BenchmarkBufferAwarePathKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferAwarePath measures the Stage-4 (tile, j) combined-cost maze
-// on a long two-path with a blocked tree mask.
-func BenchmarkBufferAwarePath(b *testing.B) {
-	g, _, routes, _ := benchWorkload(b)
-	tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-	blocked := make([]bool, g.NumTiles())
+// benchPathInstance is the Stage-4 search instance of the path benchmarks
+// and the allocation test: a long two-path across the congested bench
+// workload, with one net's tree as the blocked mask.
+func benchPathInstance(tb testing.TB) (g *tile.Graph, tail, head geom.Pt, blocked []bool) {
+	tb.Helper()
+	g, _, routes, _ := benchWorkload(tb)
+	tail, head = geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
+	blocked = make([]bool, g.NumTiles())
 	for _, t := range routes[3].Tile {
 		blocked[g.TileIndex(t)] = true
 	}
 	blocked[g.TileIndex(tail)] = false
 	blocked[g.TileIndex(head)] = false
+	return g, tail, head, blocked
+}
+
+// benchIncumbent returns a good but not optimal tail-to-head reconnection
+// for the L = 6 path benchmarks, standing in for the ripped two-path Stage
+// 4 hands the search: the optimum of the same instance at L = 3.
+func benchIncumbent(tb testing.TB, g *tile.Graph, tail, head geom.Pt, blocked []bool) []geom.Pt {
+	tb.Helper()
+	path, err := BufferAwarePath(g, tail, head, 3, blocked, nil, DefaultOptions(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	walk := make([]geom.Pt, len(path))
+	for i, p := range path {
+		walk[len(path)-1-i] = p
+	}
+	return walk
+}
+
+// BenchmarkBufferAwarePath measures the Stage-4 (tile, j) combined-cost maze
+// on a long two-path with a blocked tree mask.
+func BenchmarkBufferAwarePath(b *testing.B) {
+	g, tail, head, blocked := benchPathInstance(b)
 	ws := NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BufferAwarePath(g, tail, head, 6, blocked, DefaultOptions(), ws); err != nil {
+		if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, DefaultOptions(), ws); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBufferAwarePathIncumbent is BenchmarkBufferAwarePath with an
+// incumbent reconnection, as Stage 4 calls it: the incumbent's cost bounds
+// the search and the reverse-Dijkstra h (armed at L >= 3) prunes states
+// that cannot beat it. pops/op and relaxations/op include the arming.
+func BenchmarkBufferAwarePathIncumbent(b *testing.B) {
+	g, tail, head, blocked := benchPathInstance(b)
+	inc := benchIncumbent(b, g, tail, head, blocked)
+	probe := DefaultOptions()
+	probe.Obs = obs.NewMetrics()
+	ws := NewWorkspace()
+	if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, probe, ws); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, DefaultOptions(), ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportWavefront(b, probe.Obs.(*obs.Metrics), "route.bap.pops", "route.bap.relaxations")
 }

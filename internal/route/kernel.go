@@ -74,10 +74,27 @@ func resolveKernel(opt Options) (kernelID, error) {
 	}
 }
 
-// kernelLabel returns the kernel name a call with these options actually
-// runs under (after the Options.Weight fallback), for counter labeling.
-func kernelLabel(opt Options) string {
+// rerouteKernel is the kernel Reroute actually runs: resolveKernel, plus
+// astar's fallback to heap order at alpha != 1. The PD key is non-monotone
+// for alpha < 1: a later pop can offer a done node a smaller key
+// (k_v - k_u = ec_uv - (1-alpha)*ec_parent_u), so the labels are
+// pop-order-defined and any goal-directed reordering changes results
+// (TestAstarCostIdenticalReroute pins the alpha=1 guarantee; the divergence
+// is real at 0.4). BufferAwarePath — a pure Dijkstra — and alpha=1 reroutes
+// (the cost-distance Steiner mode) keep the goal-directed order.
+func rerouteKernel(opt Options) (kernelID, error) {
 	k, err := resolveKernel(opt)
+	if k == kAstar && opt.Alpha != 1 { //rabid:allow floateq exact gate: A* keeps heap-identical labels only at exactly alpha=1
+		k = kHeap
+	}
+	return k, err
+}
+
+// kernelLabel returns the kernel name a Reroute with these options actually
+// runs under (after the Options.Weight and alpha fallbacks), for counter
+// labeling.
+func kernelLabel(opt Options) string {
+	k, err := rerouteKernel(opt)
 	if err != nil {
 		return opt.Kernel
 	}
@@ -114,9 +131,10 @@ type dialState struct {
 
 // astarState carries the per-call heuristic inputs. Reroute mode uses the
 // goal coordinates plus the static per-edge cost lower bound (gx, gy, w,
-// cmin, alpha); BufferAwarePath mode uses hd, the exact tile-level
-// reverse-Dijkstra distance table armed by astarArmPath (hs is its epoch
-// stamp; a stale entry reads as unreachable). armPops and armRelax record
+// cmin, alpha); BufferAwarePath uses hd, the exact tile-level
+// reverse-Dijkstra distance table armed by armPathBound (hs is its epoch
+// stamp; a stale entry reads as unreachable) — as the astar kernel's
+// heuristic and as the h of the incumbent bound. armPops and armRelax record
 // the arming pass's queue work so the caller can fold it into the
 // wavefront counters — the heuristic's cost is never hidden from the
 // pops/relaxations accounting.
@@ -290,7 +308,8 @@ func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options)
 	a.alpha = opt.Alpha
 }
 
-// astarArmPath arms the BufferAwarePath heuristic: an exact reverse
+// armPathBound arms BufferAwarePath's remaining-cost lower bound — the
+// astar kernel's heuristic and the incumbent bound's h: an exact reverse
 // Dijkstra from the head over the tile graph, under the live Eq. (1) edge
 // costs and the caller's blocked mask. The tile metric is a relaxation of
 // the (tile, j) state search — it drops the buffer-spacing constraint and
@@ -302,11 +321,17 @@ func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options)
 // never reaches read as +Inf, which is itself exact: no forward path from
 // them can reach the head either.
 //
+// The scan stops at the first pop whose distance exceeds limit (+Inf scans
+// everything). Every tile not yet settled is then at least that far from
+// the head, and any value pathBound reads there — +Inf, or a tentative
+// distance above the true one — exceeds limit too, so a caller that prunes
+// at limit prunes such a tile exactly as the full table would.
+//
 // Usage is static within one call and Stage 4 never speculates, so the
 // scan is deterministic; it also pre-warms the per-edge cost memo the
 // main search reads. The arming queue work is recorded in armPops /
 // armRelax and folded into the wavefront counters by the caller.
-func (ws *Workspace) astarArmPath(g *tile.Graph, head int, blocked []bool, opt Options) {
+func (ws *Workspace) armPathBound(g *tile.Graph, head int, blocked []bool, opt Options, limit float64) {
 	a := &ws.astar
 	nt := g.NumTiles()
 	if len(a.hd) < nt {
@@ -327,14 +352,18 @@ func (ws *Workspace) astarArmPath(g *tile.Graph, head int, blocked []bool, opt O
 		if it.key > a.hd[u] {
 			continue // stale entry, superseded by a better push
 		}
-		// Expanding u corresponds to a forward move v -> u, which the main
-		// search permits only into unblocked tiles (the head excepted).
-		if u != head && blocked != nil && blocked[u] {
-			continue
+		if it.key > limit {
+			break
 		}
 		nbrs, edges := g.Adjacency(u)
 		for x, v32 := range nbrs {
 			v := int(v32)
+			// Expanding v would stand for a forward move into v, which the
+			// main search permits only into unblocked tiles (the head, the
+			// scan's source, excepted); it never reads h at a blocked tile.
+			if blocked != nil && blocked[v] {
+				continue
+			}
 			a.armRelax++
 			d := it.key + ws.edgeCostMemo(g, int(edges[x]), opt, memo)
 			if a.hs[v] != ep || d < a.hd[v] {
@@ -344,6 +373,7 @@ func (ws *Workspace) astarArmPath(g *tile.Graph, head int, blocked []bool, opt O
 			}
 		}
 	}
+	ws.q = ws.q[:0] // a capped scan leaves entries behind; the main search starts empty
 }
 
 // astarManh returns the Manhattan distance from tile t to the nearest
@@ -393,11 +423,11 @@ func (ws *Workspace) astarHR(v int, ec float64) float64 {
 	return h
 }
 
-// astarHPath is the BufferAwarePath heuristic for tile t: the exact
-// relaxed-metric distance armed by astarArmPath. Consistency of that
-// metric (see astarArmPath) means the first head-state pop carries the
-// exact same optimal distance the heap kernel returns.
-func (ws *Workspace) astarHPath(t int) float64 {
+// pathBound is the BufferAwarePath lower bound for tile t: the exact
+// relaxed-metric distance armed by armPathBound. Consistency of that
+// metric (see armPathBound) means the first head-state pop under the astar
+// kernel carries the exact same optimal distance the heap kernel returns.
+func (ws *Workspace) pathBound(t int) float64 {
 	a := &ws.astar
 	if a.hs[t] != ws.epoch {
 		return math.Inf(1) // the head is unreachable from t

@@ -215,7 +215,7 @@ func TestAstarCostIdenticalSuite(t *testing.T) {
 func bapCost(t *testing.T, g *tile.Graph, tail, head geom.Pt, L int, opt Options) float64 {
 	t.Helper()
 	ws := NewWorkspace()
-	if _, err := BufferAwarePath(g, tail, head, L, nil, opt, ws); err != nil {
+	if _, err := BufferAwarePath(g, tail, head, L, nil, nil, opt, ws); err != nil {
 		t.Fatal(err)
 	}
 	base := g.TileIndex(head) * L
@@ -336,6 +336,37 @@ func TestAstarBoundAdmissible(t *testing.T) {
 			if hv := ws.astarHR(v, 0); hv > dist[v]+1e-12 {
 				t.Fatalf("trial %d tile %d: heuristic %v exceeds true remaining cost %v", trial, v, hv, dist[v])
 			}
+		}
+	}
+}
+
+// TestKernelLabelFollowsRerouteFallback pins the Stage-2 per-kernel totals
+// to the kernel Reroute actually ran: astar at the default alpha falls
+// back to heap order, so its totals are labeled heap; at alpha = 1 the
+// goal-directed order runs and the label is astar.
+func TestKernelLabelFollowsRerouteFallback(t *testing.T) {
+	for _, tc := range []struct {
+		alpha     float64
+		want, not string
+	}{{0.4, KernelHeap, KernelAstar}, {1, KernelAstar, KernelHeap}} {
+		g, nets, routes, order := benchWorkload(t)
+		m := obs.NewMetrics()
+		opt := DefaultOptions()
+		opt.Kernel = KernelAstar
+		opt.Alpha = tc.alpha
+		opt.Obs = m
+		passes, err := ReduceCongestion(g, nets, routes, order, 1, opt, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if passes != 1 {
+			t.Fatalf("alpha=%v: %d passes, want 1 (the workload must reroute)", tc.alpha, passes)
+		}
+		if got, all := m.Counter("route.pops."+tc.want), m.Counter("route.pops"); got == 0 || got != all {
+			t.Errorf("alpha=%v: route.pops.%s = %v, want the pass's %v pops", tc.alpha, tc.want, got, all)
+		}
+		if got := m.Counter("route.pops." + tc.not); got != 0 {
+			t.Errorf("alpha=%v: route.pops.%s = %v, want 0", tc.alpha, tc.not, got)
 		}
 	}
 }

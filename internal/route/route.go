@@ -168,20 +168,9 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 		remaining--
 	}
 
-	kern, err := resolveKernel(opt)
+	kern, err := rerouteKernel(opt)
 	if err != nil {
 		return nil, err
-	}
-	if kern == kAstar && opt.Alpha != 1 { //rabid:allow floateq exact gate: A* keeps heap-identical labels only at exactly alpha=1 (see kernel.go)
-		// The PD key is non-monotone for alpha < 1: a later pop can offer a
-		// done node a smaller key (k_v - k_u = ec_uv - (1-alpha)*ec_parent),
-		// so the labels are pop-order-defined and any goal-directed
-		// reordering changes results (TestAstarCostIdenticalReroute pins
-		// the alpha=1 guarantee; the divergence is real at 0.4). Fall back
-		// to the heap order; BufferAwarePath — a pure Dijkstra — and
-		// alpha=1 reroutes (the cost-distance Steiner mode) keep the
-		// goal-directed speedup.
-		kern = kHeap
 	}
 	ws.qReset(kern, g, opt)
 	if kern == kAstar {
@@ -582,19 +571,46 @@ func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
 	return c
 }
 
+// boundSlack is the relative slack of the incumbent bound: a state is
+// pruned only when its cost plus its remaining-cost lower bound exceeds
+// U*(1+boundSlack). On the chain the search returns, g + h <= g* <= U holds
+// in exact arithmetic; the float sums realizing g, h and U each carry a
+// relative error of at most (path length)*2^-53, orders of magnitude
+// below the slack.
+const boundSlack = 1e-9
+
+// boundMinL is the smallest length constraint at which the heap and dial
+// kernels arm the reverse-Dijkstra h of the incumbent bound. Below it a
+// tile carries at most two labels, and the tile-level arming search costs
+// more than the (tile, j) work it saves, so the bound runs with h = 0 (see
+// DESIGN.md "Bounded Stage-4 search").
+const boundMinL = 3
+
 // BufferAwarePath finds the cheapest tail-to-head reconnection for a ripped
-// two-path under the combined wire + buffer congestion cost. The search
-// state is (tile, j) where j is the tile distance since the last buffer
-// (bounded by L-1, as in the Stage-3 cost arrays); moving to a tile either
-// advances j or places a buffer there (adding the Eq. (2) site cost) and
-// resets j. blocked tiles (the rest of the net's tree, as a per-tile-index
-// mask; nil blocks nothing) are not entered. The returned path runs from
-// head to tail inclusive.
+// two-path under the combined wire + buffer cost. The search state is
+// (tile, j) where j is the tile distance since the last buffer (bounded by
+// L-1, as in the Stage-3 cost arrays); moving to a tile either advances j
+// or places a buffer there (adding the Eq. (2) site cost) and resets j.
+// blocked tiles (the rest of the net's tree, as a per-tile-index mask; nil
+// blocks nothing) are not entered. The returned path runs from head to tail
+// inclusive.
+//
+// incumbent, when non-nil, is a known tail-to-head walk — Stage 4 passes
+// the ripped two-path itself. Its cost under the same recurrence bounds the
+// optimum from above, and states that provably cannot beat it are never
+// pushed. Under the heap and dial kernels, label dominance also skips a
+// state when its tile already expanded a smaller j at no greater cost.
+// Both prune only states that cannot lie on the returned path: the pop
+// order (cost, then state index) and the first-strict-improvement
+// predecessor rule are those of the plain Dijkstra, so the result is
+// identical with or without an incumbent (DESIGN.md "Bounded Stage-4
+// search"). A walk that is not a legal path of the search (wrong ends, a
+// non-adjacent step, a blocked or head tile in its interior) is ignored.
 //
 // ws supplies the reusable (tile, j) state arrays; nil is allowed. The
 // returned path aliases the workspace's traceback buffer and is valid only
 // until the workspace's next use — callers that keep paths must copy.
-func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, opt Options, ws *Workspace) ([]geom.Pt, error) {
+func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, incumbent []geom.Pt, opt Options, ws *Workspace) ([]geom.Pt, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -614,6 +630,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	}
 	ws.begin(g.NumEdges()) //rabid:allow allocfree inlined grow path: begin reallocates edge scratch only when the graph outgrows the workspace
 	ws.growStates(nt * L)  //rabid:allow allocfree inlined grow path: DP state scratch reallocates only when tiles*L outgrows the workspace
+	ws.growTiles(nt)       //rabid:allow allocfree inlined grow path: tile scratch reallocates only when the graph outgrows the workspace
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
 	kern, err := resolveKernel(opt)
@@ -621,8 +638,17 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 		return nil, err
 	}
 	ws.qReset(kern, g, opt)
-	if kern == kAstar {
-		ws.astarArmPath(g, headIdx, blocked, opt)
+	memo := opt.Weight == nil
+	limit := math.Inf(1)
+	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, opt, memo); ok {
+		limit = u * (1 + boundSlack)
+	}
+	// h is the astar kernel's heuristic; the heap and dial kernels arm it
+	// only for a finite bound at L >= boundMinL and otherwise prune with
+	// h = 0. Their pop keys stay the plain costs either way.
+	armed := kern == kAstar || (L >= boundMinL && !math.IsInf(limit, 1))
+	if armed {
+		ws.armPathBound(g, headIdx, blocked, opt, limit)
 	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
 	ws.sStamp[start] = ep
@@ -631,18 +657,29 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	ws.sDone[start] = false
 	ws.qPush(pqItem{start, 0}) // sole item: its priority never competes
 	goal := -1
-	memo := opt.Weight == nil
 	tally := opt.Obs != nil
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
 		pushes = 1
-		if kern == kAstar {
+		if armed {
 			// The arming reverse Dijkstra is real queue work; charging it
 			// here keeps the per-kernel pops/relaxations comparison honest.
 			pops += ws.astar.armPops
 			relaxations += ws.astar.armRelax
 		}
 	}
+	// Per-tile dominance record, kept in Reroute's tile arrays (the two
+	// searches never share a call): domStamp[t] == ep marks a tile with an
+	// expanded state, domJ[t] is the smallest j expanded there and
+	// domCost[t] that state's cost.
+	domStamp, domCost, domJ := ws.stamp, ws.key, ws.pred
+	// Skipping dominated states is exact when states pop in cost order, as
+	// under heap and dial. astar pops by cost + h, and keys that tie after
+	// rounding while costs do not can pop a state before a cheaper label
+	// for it arrives; skipping a dominated state there changes which
+	// states are done when, and with it the result. astar therefore keeps
+	// every state and is pruned by the bound alone.
+	dominance := kern != kAstar
 	for ws.qLen() > 0 {
 		it := ws.qPop()
 		if tally {
@@ -659,6 +696,28 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 			break
 		}
 		ds := ws.sDist[s]
+		// An expanded (v, j') with j' < j at cost <= ds reaches every
+		// state (v, j) reaches, at no greater cost and with no less buffer
+		// slack: skip. Under every kernel, an expanded state of v at cost
+		// <= ds has already offered every (w, 0) at no greater cost, so a
+		// buffer move from here cannot strictly improve one. Costs are
+		// compared explicitly rather than read off the pop order.
+		bufMoves := true
+		if domStamp[v] == ep {
+			if domCost[v] <= ds {
+				if dominance && int(domJ[v]) < j {
+					continue
+				}
+				bufMoves = false
+			}
+			if j < int(domJ[v]) {
+				//rabid:allow narrowcast j < L and L*tiles <= MaxInt32, guarded at function entry
+				domJ[v], domCost[v] = int32(j), ds
+			}
+		} else {
+			//rabid:allow narrowcast j < L and L*tiles <= MaxInt32, guarded at function entry
+			domStamp[v], domJ[v], domCost[v] = ep, int32(j), ds
+		}
 		nbrs, edges := g.Adjacency(v)
 		for x, w32 := range nbrs {
 			w := int(w32)
@@ -669,42 +728,54 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 				relaxations++
 			}
 			wc := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
-			var hw float64
-			if kern == kAstar {
-				hw = ws.astarHPath(w)
+			var hw, hk float64 // the lower bound at w, and its share of the pop key
+			if armed {
+				hw = ws.pathBound(w)
+				if kern == kAstar {
+					hk = hw
+				}
 			}
-			// Advance without buffering.
-			if j+1 < L {
+			// Advance without buffering, unless the bound rules it out or w
+			// already expanded a state (w, j') with j' <= j at cost <= nd,
+			// which dominates (w, j+1).
+			if nd := ds + wc; j+1 < L && nd+hw <= limit &&
+				!(dominance && domStamp[w] == ep && int(domJ[w]) <= j && domCost[w] <= nd) {
 				ns := w*L + j + 1
 				if ws.sStamp[ns] != ep {
 					ws.sStamp[ns] = ep
 					ws.sDist[ns] = math.Inf(1)
 					ws.sDone[ns] = false
 				}
-				if nd := ds + wc; nd < ws.sDist[ns] {
+				if nd < ws.sDist[ns] {
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.qPush(pqItem{ns, nd + hw})
+					ws.qPush(pqItem{ns, nd + hk})
 					if tally {
 						pushes++
 					}
 				}
 			}
-			// Buffer at the new tile.
-			ns := w * L
-			if ws.sStamp[ns] != ep {
-				ws.sStamp[ns] = ep
-				ws.sDist[ns] = math.Inf(1)
-				ws.sDone[ns] = false
+			// Buffer at the new tile, unless a no-costlier expansion of v
+			// already offered it or the bound rules it out.
+			if !bufMoves {
+				continue
 			}
-			if nd := ds + wc + siteCostClamped(g, w, opt); nd < ws.sDist[ns] {
-				ws.sDist[ns] = nd
-				//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
-				ws.sPred[ns] = int32(s)
-				ws.qPush(pqItem{ns, nd + hw})
-				if tally {
-					pushes++
+			if nd := ds + wc + siteCostClamped(g, w, opt); nd+hw <= limit {
+				ns := w * L
+				if ws.sStamp[ns] != ep {
+					ws.sStamp[ns] = ep
+					ws.sDist[ns] = math.Inf(1)
+					ws.sDone[ns] = false
+				}
+				if nd < ws.sDist[ns] {
+					ws.sDist[ns] = nd
+					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
+					ws.sPred[ns] = int32(s)
+					ws.qPush(pqItem{ns, nd + hk})
+					if tally {
+						pushes++
+					}
 				}
 			}
 		}
@@ -727,4 +798,62 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	ws.path = rev
 	// rev is head..tail already (we traced from the head state back).
 	return rev, nil
+}
+
+// incumbentCost prices a tail-to-head walk under BufferAwarePath's own
+// (tile, j) recurrence: the cheapest buffering of exactly that walk, with
+// the search's float operations in the search's order (ds + wc to advance,
+// ds + wc + site to buffer). Each value is the cost of a state path the
+// search could take, so the result bounds the search's optimum from
+// above. ok is false when the walk is empty or not a legal path of the
+// search: wrong ends, a non-adjacent step, or a blocked or head tile in its
+// interior.
+func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geom.Pt, L int, blocked []bool, opt Options, memo bool) (float64, bool) {
+	n := len(walk)
+	if n == 0 || walk[0] != tail || walk[n-1] != head {
+		return 0, false
+	}
+	if len(ws.incRow) < 2*L {
+		ws.incRow = make([]float64, 2*L) //rabid:allow allocfree cold grow path: the two recurrence rows reallocate only when L outgrows the workspace
+	}
+	cur, next := ws.incRow[:L], ws.incRow[L:2*L]
+	cur[0] = 0
+	for j := 1; j < L; j++ {
+		cur[j] = math.Inf(1)
+	}
+	headIdx := g.TileIndex(head)
+	for i := 1; i < n; i++ {
+		w := walk[i]
+		if !g.InGrid(w) {
+			return 0, false
+		}
+		wi := g.TileIndex(w)
+		if i < n-1 && (wi == headIdx || blocked != nil && blocked[wi]) {
+			return 0, false
+		}
+		e, ok := g.EdgeBetween(walk[i-1], w)
+		if !ok {
+			return 0, false
+		}
+		wc := ws.edgeCostMemo(g, e, opt, memo)
+		site := siteCostClamped(g, wi, opt)
+		buf := math.Inf(1)
+		for j, c := range cur {
+			if j+1 < L {
+				next[j+1] = c + wc
+			}
+			if nd := c + wc + site; nd < buf {
+				buf = nd
+			}
+		}
+		next[0] = buf
+		cur, next = next, cur
+	}
+	u := math.Inf(1)
+	for _, c := range cur {
+		if c < u {
+			u = c
+		}
+	}
+	return u, true
 }

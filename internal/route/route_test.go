@@ -216,7 +216,7 @@ func TestBufferAwarePathStraight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 5}, geom.Pt{X: 0, Y: 5}, 4, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 5}, geom.Pt{X: 0, Y: 5}, 4, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBufferAwarePathAvoidsSitelessCorridor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := BufferAwarePath(g, geom.Pt{X: 11, Y: 0}, geom.Pt{X: 0, Y: 0}, 2, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{X: 11, Y: 0}, geom.Pt{X: 0, Y: 0}, 2, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,21 +269,21 @@ func TestBufferAwarePathRespectsBlocked(t *testing.T) {
 		blocked[g.TileIndex(geom.Pt{X: x, Y: 1})] = true // wall across the middle
 	}
 	// Tail below the wall, head above: impossible without entering blocked.
-	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 2}, 3, blocked, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 2}, 3, blocked, nil, DefaultOptions(), nil); err == nil {
 		t.Error("blocked wall should make head unreachable")
 	}
 	// Head on the wall itself is allowed (endpoint exemption).
-	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 1}, 3, blocked, DefaultOptions(), nil); err != nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 1}, 3, blocked, nil, DefaultOptions(), nil); err != nil {
 		t.Errorf("head exemption failed: %v", err)
 	}
 }
 
 func TestBufferAwarePathBadArgs(t *testing.T) {
 	g := grid(t, 4, 4, 2)
-	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3}, 0, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3}, 0, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Error("L=0 accepted")
 	}
-	if _, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 9}, geom.Pt{}, 2, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 9}, geom.Pt{}, 2, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Error("off-grid tail accepted")
 	}
 }
@@ -300,11 +300,11 @@ func TestBufferAwarePathStateOverflowGuard(t *testing.T) {
 	if int64(4)*int64(overL) != int64(math.MaxInt32)+1 {
 		t.Fatalf("bad boundary arithmetic: 4*%d", overL)
 	}
-	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, overL, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, overL, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Fatal("state space of MaxInt32+1 accepted; int32 predecessors would overflow")
 	}
 	// A two-path under the same options but a sane L still routes.
-	path, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, 4, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, 4, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatalf("sane L rejected: %v", err)
 	}

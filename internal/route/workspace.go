@@ -35,7 +35,8 @@ type pqItem struct {
 type Workspace struct {
 	epoch uint64 // bumped by begin; entry stamps compare against this
 
-	// Wavefront state, one entry per tile (Reroute).
+	// Wavefront state, one entry per tile (Reroute). BufferAwarePath
+	// borrows stamp, key and pred as its per-tile dominance record.
 	stamp    []uint64  // generation stamp for key/pathCost/pred/done
 	key      []float64 // PD selection key
 	pathCost []float64 // accumulated edge cost from source
@@ -74,6 +75,7 @@ type Workspace struct {
 	sPred  []int32
 	sDone  []bool
 	path   []geom.Pt // traceback result buffer, returned to the caller
+	incRow []float64 // the incumbent pass's two recurrence rows (2*L)
 
 	blocked []bool    // Stage-4 blocked-tile mask, managed by the caller
 	heat    []float64 // per-pass congestion snapshot buffer

@@ -3,15 +3,16 @@
 # from the repo root). Stdlib-only: go test + cmd/benchjson, no external
 # benchstat.
 #
-#   1. run the route microbenchmarks (Reroute / RipupPass / BufferAwarePath)
-#      and the search-kernel matrix (heap / dial / astar over Reroute and
-#      BufferAwarePath), the end-to-end BenchmarkRunSuite, and the
-#      cross-backend BenchmarkBackendPlan (rabid / rabid+lib / mcf),
+#   1. run the route microbenchmarks (Reroute / RipupPass / BufferAwarePath,
+#      the last with and without an incumbent) and the search-kernel
+#      matrix (heap / dial / astar over Reroute and BufferAwarePath), the
+#      end-to-end BenchmarkRunSuite, and the cross-backend
+#      BenchmarkBackendPlan (rabid / rabid+lib / mcf),
 #   2. convert the text output to JSON with cmd/benchjson,
 #   3. if a baseline exists, print an old-vs-new delta table and gate the
 #      default (heap) kernel's hot paths: a >10% ns/op regression of
-#      BenchmarkReroute / BenchmarkRipupPass / BenchmarkBufferAwarePath or
-#      any */heap kernel-matrix row fails the script. benchjson disables
+#      BenchmarkReroute / BenchmarkRipupPass / BenchmarkBufferAwarePath[Incumbent]
+#      or any */heap kernel-matrix row fails the script. benchjson disables
 #      the gate automatically when the baseline was recorded on a
 #      different CPU (cross-machine wall clock measures the hardware);
 #      the rest of the table stays report-only — runner noise on the
@@ -40,7 +41,7 @@ trap 'rm -rf "$workdir"' EXIT
 go build -o "$workdir/benchjson" ./cmd/benchjson
 
 echo "== route microbenchmarks (benchtime=$benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkRipupPassParallel$|BenchmarkBufferAwarePath$' \
+go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkRipupPassParallel$|BenchmarkBufferAwarePath$|BenchmarkBufferAwarePathIncumbent$' \
   -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
 
 echo "== search-kernel matrix (benchtime=$benchtime)" >&2
@@ -69,7 +70,7 @@ if [ -f "$baseline" ]; then
   # Gate the default kernel's hot paths at 10%; everything else (parallel
   # variants, non-default kernels, macro benchmarks) is report-only.
   "$workdir/benchjson" -compare -maxregress 10 \
-    -gate '^(BenchmarkReroute|BenchmarkRipupPass|BenchmarkBufferAwarePath)$|Kernel(Alpha1)?/heap$' \
+    -gate '^(BenchmarkReroute|BenchmarkRipupPass|BenchmarkBufferAwarePath|BenchmarkBufferAwarePathIncumbent)$|Kernel(Alpha1)?/heap$' \
     "$baseline" "$new"
 else
   echo "no baseline ($baseline) checked in; run with -update to create one" >&2
