@@ -215,6 +215,8 @@ type state struct {
 	// stages so that their steady state allocates nothing but results (see
 	// DESIGN.md, "Router hot path").
 	dp     bufferdp.Scratch
+	lib    bufferdp.LibScratch
+	libBuf []bufferdp.LibGate // dpLibrary's per-net view of Params.Library
 	sites  siteCheck
 	paths  rtree.TwoPathSet
 	done   []uint64  // reworked two-paths of the current net: sorted (head, tail) tile-index pairs
@@ -641,7 +643,8 @@ func (s *state) assignNet(i int) error {
 	// gate occupies one site, so the over-subscription check is unchanged.
 	var lib []bufferdp.LibGate
 	if len(s.p.Library) > 0 {
-		lib = dpLibrary(s.p.Library, s.p.Tech.Buffer, s.c.Nets[i].L)
+		s.libBuf = dpLibrary(s.libBuf, s.p.Library, s.p.Tech.Buffer, s.c.Nets[i].L)
+		lib = s.libBuf
 	}
 	q := func(v int) float64 {
 		ti := s.g.TileIndex(rt.Tile[v])
@@ -653,7 +656,7 @@ func (s *state) assignNet(i int) error {
 	for {
 		var err error
 		if lib != nil {
-			a, err = bufferdp.AssignLib(rt, s.c.Nets[i].L, lib, q, dpp)
+			a, err = s.lib.AssignLib(rt, s.c.Nets[i].L, lib, q, dpp)
 		} else {
 			a, err = s.dp.Assign(rt, s.c.Nets[i].L, q, dpp)
 		}
@@ -831,11 +834,11 @@ func (s *state) reworkNet(i int) error {
 }
 
 // dpLibrary converts the planning library into the DP's per-net view for a
-// net with base length constraint L: each gate's length constraint is L
-// scaled by its drive strength relative to the single planning buffer, and
-// its site cost is scaled by its area.
-func dpLibrary(lib []tech.LibGate, base tech.Gate, L int) []bufferdp.LibGate {
-	out := make([]bufferdp.LibGate, len(lib))
+// net with base length constraint L, written over buf's storage: each
+// gate's length constraint is L scaled by its drive strength relative to
+// the single planning buffer, and its site cost is scaled by its area.
+func dpLibrary(buf []bufferdp.LibGate, lib []tech.LibGate, base tech.Gate, L int) []bufferdp.LibGate {
+	out := slices.Grow(buf[:0], len(lib))[:len(lib)]
 	for i, g := range lib {
 		lg := int(math.Floor(float64(L)*g.DriveScale(base) + 0.5))
 		if lg < 1 {
