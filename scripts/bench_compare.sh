@@ -6,8 +6,9 @@
 #   1. run the route microbenchmarks (Reroute / RipupPass / BufferAwarePath,
 #      the last with and without an incumbent) and the search-kernel
 #      matrix (heap / dial / astar over Reroute and BufferAwarePath), the
-#      end-to-end BenchmarkRunSuite, and the cross-backend
-#      BenchmarkBackendPlan (rabid / rabid+lib / mcf),
+#      end-to-end BenchmarkRunSuite, the cross-backend
+#      BenchmarkBackendPlan (rabid / rabid+lib / mcf), and the library DP
+#      (BenchmarkAssignLib, fresh vs warmed scratch),
 #   2. convert the text output to JSON with cmd/benchjson,
 #   3. if a baseline exists, print an old-vs-new delta table and gate the
 #      default (heap) kernel's hot paths: a >10% ns/op regression of
@@ -55,6 +56,10 @@ go test -run '^$' -bench 'BenchmarkRunSuite$|BenchmarkRunSuiteSteiner$' \
 echo "== backend comparison benchmark (benchtime=$suite_benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkBackendPlan$' \
   -benchmem -benchtime "$suite_benchtime" -timeout 20m . | tee -a "$workdir/bench.txt" >&2
+
+echo "== library DP benchmark (benchtime=$benchtime)" >&2
+go test -run '^$' -bench 'BenchmarkAssignLib$' \
+  -benchmem -benchtime "$benchtime" ./internal/bufferdp | tee -a "$workdir/bench.txt" >&2
 
 if [ "$update" = 1 ]; then
   "$workdir/benchjson" -o "$baseline" < "$workdir/bench.txt"
