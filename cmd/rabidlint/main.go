@@ -1,9 +1,8 @@
 // Command rabidlint runs the repository's static-analysis suite: the six
 // intraprocedural determinism and numeric-safety checks, the
 // interprocedural call-graph layer (transitive wallclock/globalrand/
-// maprange taint, specpure, ctxflow), and — with -escape — the
-// compiler-backed allocfree gate (see internal/lint and DESIGN.md "Static
-// analysis").
+// maprange taint, ctxflow), and — with -escape — the compiler-backed
+// allocfree gate (see internal/lint and DESIGN.md "Static analysis").
 //
 // Usage:
 //

@@ -181,6 +181,41 @@ func TestReworkNetAllocBound(t *testing.T) {
 	}
 }
 
+// TestStage2AllocBound: Stage 2 reroutes every net on the run's one
+// workspace, so once that workspace and its recycled-tree free list are
+// warm a stage2 call allocates a fixed count — the pass order and the
+// delay refresh's fan-out — however many nets and rip-up passes it runs.
+// The state holds no WorkspacePool, as in a Run with a nil pool, and
+// capacity 1 keeps the circuit overflowing, so every call runs all
+// MaxRipupPasses passes. Recycled trees take a few dozen calls to grow to
+// the largest net they will carry, hence the long warm-up.
+func TestStage2AllocBound(t *testing.T) {
+	const bound = 16 // allocations per stage2 call, at any net or pass count
+	for _, workers := range []int{1, 2} {
+		p := DefaultParams()
+		p.Workers = workers
+		p.Capacity = 1
+		p.MaxRipupPasses = 6
+		s := newTestState(t, smallCircuit(t, 27, 60, 12, 12, 2, 4), p)
+		stage2 := func() {
+			if err := s.stage2(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 60; k++ {
+			stage2()
+		}
+		if s.g.WireCongestion().Overflow == 0 {
+			t.Fatal("setup: the circuit must still overflow, or stage2 runs no pass")
+		}
+		avg := testing.AllocsPerRun(10, stage2)
+		t.Logf("workers=%d: %v allocs per stage2 call (%d nets, %d passes)", workers, avg, len(s.routes), p.MaxRipupPasses)
+		if avg > bound {
+			t.Errorf("workers=%d: %v allocs per stage2 call with a warmed workspace, want <= %d", workers, avg, bound)
+		}
+	}
+}
+
 // TestWorkersDeterminismCore proves the tentpole guarantee at the core
 // level: every Workers value yields bit-identical stage statistics, routes,
 // and buffer assignments.

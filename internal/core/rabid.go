@@ -102,13 +102,11 @@ type Params struct {
 	Library []tech.LibGate
 	// Workers bounds the goroutines used for the parallel sections: the
 	// order-independent per-net work (Stage-1 Steiner construction, the
-	// delay refresh after every stage, the per-net snapshot accounting)
-	// and the Stage-2 speculative rip-up engine (route.Parallel). 0 (the
-	// default) means GOMAXPROCS. Results are bit-identical for every value
-	// — per-net workers write only to their own net's slot, shared
-	// tile-graph mutation stays sequential, and the speculative engine
-	// commits in net order with conflict replay (see DESIGN.md, "Parallel
-	// execution model" and "Parallel rip-up-and-reroute").
+	// delay refresh after every stage, the per-net snapshot accounting).
+	// 0 (the default) means GOMAXPROCS. Results are bit-identical for
+	// every value — per-net workers write only to their own net's slot,
+	// and shared tile-graph mutation stays sequential (see DESIGN.md,
+	// "Parallel execution model").
 	Workers int
 	// Observer receives the run's structured telemetry: trace spans,
 	// counters, gauges, and congestion-heat snapshots (see internal/obs).
@@ -203,12 +201,9 @@ type state struct {
 	delays []float64 // per-net max sink delay, for ordering
 	obs    obs.Observer
 	stage  int // current pipeline stage, stamped on emitted events
-	// ws is the run's primary router workspace: it serves the sequential
-	// routing of Stages 2 and 4 — including the Stage-2 commit/replay
-	// section of the speculative engine, whose concurrent workers draw
-	// their own workspaces from Params.WorkspacePool — and is reused
-	// across nets and passes and, through Params.WorkspacePool, across
-	// runs.
+	// ws is the run's router workspace: it serves the routing of Stages 2
+	// and 4 and is reused across nets and passes and, through
+	// Params.WorkspacePool, across runs.
 	ws *route.Workspace
 
 	// Stage-3/4 and delay-evaluation scratch, reused across nets and
@@ -528,12 +523,7 @@ func (s *state) stage2() error {
 		// heuristic is provably engaged (see route/kernel.go).
 		opt.Alpha = 1
 	}
-	// The speculative engine is threaded unconditionally: its protocol is
-	// worker-count-independent, so results and event streams match the
-	// sequential kernel bit for bit at every Workers value (the parallel
-	// determinism suite pins this).
-	px := route.NewParallel(s.p.Workers, s.p.WorkspacePool)
-	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws, px); err != nil {
+	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws); err != nil {
 		return err
 	}
 	return s.refreshDelays()

@@ -9,9 +9,9 @@ import (
 )
 
 // callgraph.go builds the static call graph the interprocedural checks
-// (taint.go, specpure.go, ctxflow.go) walk. One graph is built per Run over
-// the whole module; nodes are the module's declared functions and methods,
-// edges are the call sites that can be resolved statically:
+// (taint.go, ctxflow.go) walk. One graph is built per Run over the whole
+// module; nodes are the module's declared functions and methods, edges are
+// the call sites that can be resolved statically:
 //
 //   - direct calls to package functions and concrete methods resolve
 //     through go/types object identity (the same *types.Func pointer is
@@ -373,7 +373,7 @@ func (cg *CallGraph) collectMapRanges() {
 }
 
 // shortFunc renders a module function compactly for call-path messages:
-// "route.Reroute", "(*route.Parallel).speculate", or the full name for
+// "route.Reroute", "(*route.Workspace).pushPQ", or the full name for
 // functions outside the module.
 func (cg *CallGraph) shortFunc(fn *types.Func) string {
 	name := fn.FullName()

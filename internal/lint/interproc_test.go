@@ -47,15 +47,8 @@ func TestCorpusCallPaths(t *testing.T) {
 		{"rng/rng_trans.go", "globalrand", "rng.HiddenDraw → rng.hiddenDraw → rand.Intn"},
 		{"route/transitive.go", "maprange", "route.UsesHelper → geomlib.SumValues → range over map"},
 		{"ctxlib/ctxlib.go", "ctxflow", "ctxlib.DropsCtx → ctxlib.blessedRoot → context.Background"},
-		{"route/spec.go", "specpure", "route.armSpec → route.specHelper → (*tile.Graph).AddWire"},
 	} {
 		corpusFinding(t, fs, tc.file, tc.check, tc.path)
-	}
-	// The specpure message also names the mutation witness inside the
-	// mutator, so the reader sees both ends of the violation.
-	f := corpusFinding(t, fs, "route/spec.go", "specpure", "(*tile.Graph).AddWire")
-	if !strings.Contains(f.Message, "tile/tile.go:") {
-		t.Errorf("specpure finding does not cite the mutation witness: %q", f.Message)
 	}
 }
 
@@ -230,23 +223,9 @@ func zzHandle(ctx context.Context, c *netlist.Circuit) {
 	_, _ = core.Run(c, core.Params{}) // line 11: ctxflow (drops ctx into core.Run)
 }
 `
-	routeSeed := `package route
-
-import "repro/internal/tile"
-
-func zzArm(g *tile.Graph, ws *Workspace) {
-	ws.spec.active = true
-	zzSpecHelper(g)
-}
-
-func zzSpecHelper(g *tile.Graph) {
-	g.AddWire(0) // line 11: specpure (mutation reachable from speculation)
-}
-`
 	mod, err := Load(repoRoot(t), map[string][]byte{
 		"internal/journal/zz_seeded.go": []byte(journalSeed),
 		"internal/server/zz_seeded.go":  []byte(serverSeed),
-		"internal/route/zz_spec.go":     []byte(routeSeed),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +234,6 @@ func zzSpecHelper(g *tile.Graph) {
 	seededFiles := map[string]bool{
 		"internal/journal/zz_seeded.go": true,
 		"internal/server/zz_seeded.go":  true,
-		"internal/route/zz_spec.go":     true,
 	}
 	type want struct {
 		file, check, path string
@@ -265,7 +243,6 @@ func zzSpecHelper(g *tile.Graph) {
 		{"internal/journal/zz_seeded.go", "wallclock", "", 6},
 		{"internal/journal/zz_seeded.go", "wallclock", "journal.zzWhen → journal.zzHidden → time.Now", 10},
 		{"internal/server/zz_seeded.go", "ctxflow", "server.zzHandle → core.Run → context.Background", 11},
-		{"internal/route/zz_spec.go", "specpure", "route.zzArm → route.zzSpecHelper → (*tile.Graph).AddWire", 11},
 	}
 	matched := map[int]bool{}
 	for _, f := range findings {

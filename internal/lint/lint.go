@@ -47,13 +47,13 @@ func (f Finding) Pos() string { return fmt.Sprintf("%s:%d:%d", f.File, f.Line, f
 func (f Finding) String() string { return fmt.Sprintf("%s: [%s] %s", f.Pos(), f.Check, f.Message) }
 
 // Checks lists every check ID in the suite, in report order. The first six
-// are the intraprocedural PR 3 checks; specpure, ctxflow, and allocfree are
-// the interprocedural layer (allocfree findings are produced only by the
+// are the intraprocedural checks; ctxflow and allocfree are the
+// interprocedural layer (allocfree findings are produced only by the
 // compiler-backed escape gate, EscapeGate / `rabidlint -escape`).
 func Checks() []string {
 	return []string{
 		"maprange", "wallclock", "globalrand", "floateq", "narrowcast", "errdrop",
-		"specpure", "ctxflow", "allocfree",
+		"ctxflow", "allocfree",
 	}
 }
 
@@ -95,9 +95,6 @@ func RunChecks(mod *Module, onlyPkgs, onlyChecks map[string]bool) []Finding {
 		a.lintPackage(pkg)
 	}
 	a.checkTransitiveTaints()
-	if a.enabled("specpure") {
-		a.checkSpecPure()
-	}
 	if a.enabled("ctxflow") {
 		a.checkCtxFlow()
 	}

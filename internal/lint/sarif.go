@@ -22,7 +22,6 @@ var ruleHelp = map[string]string{
 	"floateq":    "floating-point equality must be tolerance-based or provably exact",
 	"narrowcast": "integer narrowing must be range-checked",
 	"errdrop":    "errors must be handled or explicitly discarded with a reason",
-	"specpure":   "speculative routing must not mutate the shared tile graph",
 	"ctxflow":    "a caller's context must flow to callees, not be swapped for a fresh root",
 	"allocfree":  "hot-set functions must not heap-allocate (compiler escape analysis)",
 	"allow":      "//rabid:allow annotations must name a known check and carry a reason",

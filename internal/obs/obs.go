@@ -171,33 +171,6 @@ func Multi(os ...Observer) Observer {
 	return multi(nz)
 }
 
-// Buffer collects events for deferred in-order delivery. The parallel
-// rip-up engine routes each speculative reroute's counters into a per-net
-// Buffer, then either flushes them at commit time in net order or discards
-// them when the speculation loses a conflict, keeping the delivered stream
-// byte-identical to the sequential kernel's. A Buffer serves one work item
-// at a time (no internal locking); KindHeat events must not be buffered —
-// their Vals alias emitter-owned storage that goes stale before the flush.
-type Buffer struct{ evs []Event }
-
-// Observe appends e to the buffer.
-func (b *Buffer) Observe(e Event) { b.evs = append(b.evs, e) }
-
-// Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.evs) }
-
-// Reset discards the buffered events, keeping capacity for reuse.
-func (b *Buffer) Reset() { b.evs = b.evs[:0] }
-
-// FlushTo forwards the buffered events to o in arrival order and resets
-// the buffer. A nil o drops the events (matching Emit's fast path).
-func (b *Buffer) FlushTo(o Observer) {
-	for _, e := range b.evs {
-		Emit(o, e)
-	}
-	b.evs = b.evs[:0]
-}
-
 // IndexBuffers makes parallel per-item instrumentation deterministic: each
 // worker emits into its own item's buffer (no locks, no cross-item
 // ordering), and Flush forwards everything to the observer in item-index

@@ -348,35 +348,3 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 	}
 }
-
-func TestBufferFlushAndDiscard(t *testing.T) {
-	var b Buffer
-	m := NewMetrics()
-	b.Observe(Event{Kind: KindCounter, Scope: "spec.a", Stage: 2, Net: 0, Value: 3})
-	b.Observe(Event{Kind: KindCounter, Scope: "spec.b", Stage: 2, Net: 0, Value: 4})
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
-	}
-	// Discarded events never reach a sink (a conflicted speculation).
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", b.Len())
-	}
-	b.Observe(Event{Kind: KindCounter, Scope: "spec.a", Stage: 2, Net: 1, Value: 5})
-	b.FlushTo(m)
-	if b.Len() != 0 {
-		t.Errorf("Len after FlushTo = %d", b.Len())
-	}
-	if v := m.Counter("spec.a.2"); v != 5 {
-		t.Errorf("flushed counter = %v, want 5 (discarded events must not leak)", v)
-	}
-	if v := m.Counter("spec.b.2"); v != 0 {
-		t.Errorf("discarded counter reached the sink: %v", v)
-	}
-	// Flushing to nil drops events, like Emit's fast path.
-	b.Observe(Event{Kind: KindCounter, Scope: "spec.c", Stage: 2, Net: 2, Value: 1})
-	b.FlushTo(nil)
-	if b.Len() != 0 {
-		t.Errorf("Len after FlushTo(nil) = %d", b.Len())
-	}
-}

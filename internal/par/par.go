@@ -56,8 +56,8 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 // ForEachWorker is ForEach for workloads needing per-worker scratch state:
 // fn receives a worker slot w in [0, min(Workers(workers), n)) alongside
 // the item index, and no two concurrent invocations share a slot, so fn
-// may address exclusive per-slot scratch (the parallel router's per-worker
-// workspaces, the delay evaluator's per-worker arenas). Which items land
+// may address exclusive per-slot scratch (the delay evaluator's per-worker
+// arenas). Which items land
 // on which slot is timing-dependent, exactly as with ForEach; determinism
 // of results must come from fn writing only to per-index state and from
 // slot scratch never influencing outputs. With a single worker (or single

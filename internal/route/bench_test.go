@@ -1,7 +1,6 @@
 package route
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,7 +73,7 @@ func BenchmarkReroute(b *testing.B) {
 }
 
 // BenchmarkRipupPass measures one full Nair pass over every net — the unit
-// of Stage-2 work ReduceCongestion repeats.
+// of Stage-2 work ReduceCongestionCtx repeats.
 func BenchmarkRipupPass(b *testing.B) {
 	g, nets, routes, order := benchWorkload(b)
 	ws := NewWorkspace()
@@ -84,27 +83,6 @@ func BenchmarkRipupPass(b *testing.B) {
 		if _, err := RipupPass(g, nets, routes, order, DefaultOptions(), ws); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRipupPassParallel measures the speculative parallel pass at a
-// few worker counts against the same workload as BenchmarkRipupPass. On a
-// single-CPU host the Workers>1 rows mostly exercise the protocol overhead
-// (speculate + validate + commit); the speedup shows up on multi-core.
-func BenchmarkRipupPassParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			g, nets, routes, order := benchWorkload(b)
-			ws := NewWorkspace()
-			px := NewParallel(workers, NewPool())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := px.Pass(g, nets, routes, order, DefaultOptions(), ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

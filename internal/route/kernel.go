@@ -53,8 +53,7 @@ const (
 // resolveKernel maps Options.Kernel to a kernelID. A caller-supplied
 // Options.Weight forces the heap: the custom cost function publishes no
 // bounds, so neither Dial's bucket sizing nor A*'s admissible lower bound
-// is sound under it (the same reason route.Parallel falls back to the
-// sequential kernel there).
+// is sound under it.
 func resolveKernel(opt Options) (kernelID, error) {
 	switch opt.Kernel {
 	case "", KernelHeap:
@@ -287,9 +286,9 @@ func (ws *Workspace) dialPop() pqItem {
 
 // astarArmReroute loads the net's sink coordinates and the static Eq. (1)
 // per-edge lower bound. The bound is deliberately usage-independent
-// (1/CapMax + LengthWeight): the speculative parallel engine must see the
-// same pop order as the sequential kernel, and a live residual scan would
-// read congestion outside the recorded read set.
+// (1/CapMax + LengthWeight): a live residual scan would tighten it, which
+// changes the pop order and, through equal-cost ties, the astar trees and
+// results.
 func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options) {
 	a := &ws.astar
 	a.gx, a.gy = a.gx[:0], a.gy[:0]
@@ -327,10 +326,10 @@ func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options)
 // distance above the true one — exceeds limit too, so a caller that prunes
 // at limit prunes such a tile exactly as the full table would.
 //
-// Usage is static within one call and Stage 4 never speculates, so the
-// scan is deterministic; it also pre-warms the per-edge cost memo the
-// main search reads. The arming queue work is recorded in armPops /
-// armRelax and folded into the wavefront counters by the caller.
+// Usage is static within one call, so the scan is deterministic; it also
+// pre-warms the per-edge cost memo the main search reads. The arming queue
+// work is recorded in armPops / armRelax and folded into the wavefront
+// counters by the caller.
 func (ws *Workspace) armPathBound(g *tile.Graph, head int, blocked []bool, opt Options, limit float64) {
 	a := &ws.astar
 	nt := g.NumTiles()

@@ -2,6 +2,7 @@ package route
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/tile"
 )
 
-// treesEqual and cloneRoutes live in workspace_test.go / parallel_test.go.
+// treesEqual and cloneRoutes live in workspace_test.go / route_test.go.
 
 // TestDialByteIdenticalRipup pins the tentpole claim at the unit level:
 // full multi-pass rip-up under the dial kernel produces exactly the trees
@@ -355,7 +356,7 @@ func TestKernelLabelFollowsRerouteFallback(t *testing.T) {
 		opt.Kernel = KernelAstar
 		opt.Alpha = tc.alpha
 		opt.Obs = m
-		passes, err := ReduceCongestion(g, nets, routes, order, 1, opt, nil, nil)
+		passes, err := ReduceCongestionCtx(context.Background(), g, nets, routes, order, 1, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

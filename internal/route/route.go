@@ -53,7 +53,7 @@ type Options struct {
 	// the RABID pipeline).
 	Stage int
 	// Pass labels emitted telemetry with the rip-up pass number;
-	// ReduceCongestion sets it on the per-pass Options copy.
+	// ReduceCongestionCtx sets it on the per-pass Options copy.
 	Pass int
 }
 
@@ -87,39 +87,12 @@ func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options, memo bool) 
 		if ws.ecStamp[e] == ws.epoch {
 			return ws.ec[e]
 		}
-		var c float64
-		if ws.spec.active {
-			c = ws.specEdgeCost(g, e, opt)
-		} else {
-			c = edgeCost(g, e, opt)
-		}
+		c := edgeCost(g, e, opt)
 		ws.ecStamp[e] = ws.epoch
 		ws.ec[e] = c
 		return c
 	}
 	return edgeCost(g, e, opt)
-}
-
-// specEdgeCost prices edge e for a speculative reroute: the Eq. (1)
-// congestion term is evaluated at the net's effective usage — the shared
-// graph's current usage minus one on the net's own old wires (marked in
-// spec.ownStamp) — so the cost matches what the sequential kernel would
-// see after RemoveUsage, without mutating g. The raw usage read is
-// recorded in the read set; the memoization wrapping this call guarantees
-// exactly one entry per distinct edge, making the read set both complete
-// (every congestion value the search depended on) and duplicate-free.
-func (ws *Workspace) specEdgeCost(g *tile.Graph, e int, opt Options) float64 {
-	u := g.Usage(e)
-	//rabid:allow narrowcast edge indices are < NumEdges <= MaxInt32 (tile.New) and usage is bounded by the net count
-	ws.spec.reads = append(ws.spec.reads, specRead{e: int32(e), use: int32(u)})
-	if ws.spec.ownStamp[e] == ws.epoch {
-		u--
-	}
-	c := g.WireCostAt(e, u)
-	if c > opt.OverflowPenalty {
-		c = opt.OverflowPenalty
-	}
-	return c + opt.LengthWeight
 }
 
 // Reroute computes a fresh route tree for the net on the current congestion
@@ -142,12 +115,6 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 	nt := g.NumTiles()
 	ws.begin(g.NumEdges()) //rabid:allow allocfree inlined grow path: begin reallocates edge scratch only when the graph outgrows the workspace
 	ws.growTiles(nt)       //rabid:allow allocfree inlined grow path: tile scratch reallocates only when the graph outgrows the workspace
-	if ws.spec.active {
-		// Speculative reroute: stamp the net's own old wires so
-		// specEdgeCost can price them at usage-1 (the sequential kernel
-		// would have called RemoveUsage before routing).
-		ws.markOwnWires(g)
-	}
 	ep := ws.epoch
 	// Mark the sink tiles still to be reached; remaining counts distinct
 	// marked tiles (the wantStamp epoch check deduplicates co-located
@@ -371,7 +338,7 @@ func RemoveUsage(g *tile.Graph, rt *rtree.Tree) {
 		if !ok {
 			panic(fmt.Sprintf("route: tree edge %v-%v not a grid edge", a, b)) //rabid:allow allocfree panic path: boxing only when a corrupted tree violates the grid invariant
 		}
-		g.RemoveWire(e)
+		g.RemoveWire(e) //rabid:allow allocfree inlined panic path: RemoveWire boxes its message only when the edge carries no wire, i.e. when the rip-up bookkeeping is corrupted
 	}
 }
 
@@ -429,38 +396,26 @@ func RipupPass(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, order [
 	return committed, nil
 }
 
-// ReduceCongestion is Stage 2: up to maxPasses full rip-up-and-reroute
-// passes, stopping early once no edge exceeds capacity. It returns the
-// number of passes executed — 0 when the circuit is already overflow-free
-// at entry (a zero-overflow circuit has nothing for Nair iteration to
-// reduce, so no pass runs and the Stage-1 routes are kept verbatim). Each
-// pass is a trace span carrying the post-pass overflow trajectory and a
-// congestion-heat snapshot.
+// ReduceCongestionCtx is Stage 2: up to maxPasses full rip-up-and-reroute
+// passes (RipupPass), stopping early once no edge exceeds capacity. It
+// returns the number of passes executed — 0 when the circuit is already
+// overflow-free at entry (a zero-overflow circuit has nothing for Nair
+// iteration to reduce, so no pass runs and the Stage-1 routes are kept
+// verbatim). Each pass is a trace span carrying the post-pass overflow
+// trajectory and a congestion-heat snapshot.
 //
-// px, when non-nil, executes each pass with the deterministic speculative
-// parallel engine (see Parallel); results and observer event streams are
-// byte-identical to px == nil for every worker count. A nil px (or an
-// Options.Weight hook, which the speculative cost model cannot see
-// through) runs the sequential kernel.
-func ReduceCongestion(g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, order []int, maxPasses int, opt Options, ws *Workspace, px *Parallel) (int, error) {
-	return ReduceCongestionCtx(context.Background(), g, nets, routes, order, maxPasses, opt, ws, px) //rabid:allow ctxflow ReduceCongestion is the documented Background wrapper over ReduceCongestionCtx for context-free callers; core.RunContext calls the Ctx variant
-}
-
-// ReduceCongestionCtx is ReduceCongestion with a cancellation checkpoint at
-// every rip-up pass boundary: once ctx is done no further pass starts and
-// ctx.Err() is returned with the passes completed so far. A pass itself
-// always runs to completion, so the graph's usage accounting is only ever
-// observed at a pass boundary.
-func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, order []int, maxPasses int, opt Options, ws *Workspace, px *Parallel) (int, error) {
+// Every rip-up pass boundary is a cancellation checkpoint: once ctx is
+// done no further pass starts and ctx.Err() is returned with the passes
+// completed so far. A pass itself always runs to completion, so the
+// graph's usage accounting is only ever observed at a pass boundary.
+func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, routes []*rtree.Tree, order []int, maxPasses int, opt Options, ws *Workspace) (int, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	// With an observer attached, interpose a counting tap: it forwards
 	// every event unchanged (streams stay byte-identical) while summing the
 	// per-net route.pops / route.relaxations counters, so the per-kernel
-	// totals below reflect exactly the committed event stream — identical
-	// under the speculative engine at every worker count, because only
-	// committed speculation events flush through the observer.
+	// totals below reflect exactly the emitted event stream.
 	var tap *kernelTap
 	if opt.Obs != nil {
 		tap = &kernelTap{inner: opt.Obs}
@@ -478,12 +433,7 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 		popt.Pass = passes + 1
 		t0 := obs.Now(opt.Obs)
 		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindSpanBegin, Scope: "ripup.pass", Stage: opt.Stage, Pass: popt.Pass, Net: -1})
-		var err error
-		if px != nil && opt.Weight == nil {
-			_, err = px.Pass(g, nets, routes, order, popt, ws)
-		} else {
-			_, err = RipupPass(g, nets, routes, order, popt, ws)
-		}
+		_, err := RipupPass(g, nets, routes, order, popt, ws)
 		if opt.Obs != nil {
 			wst := g.WireCongestion()
 			// The heat snapshot reuses the workspace buffer across passes;
@@ -502,18 +452,10 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 			break
 		}
 	}
-	// The speculation totals are emitted once per Stage-2 call, not per
-	// pass, so the counters exist (possibly zero) even when the circuit
-	// was overflow-free and no pass ran — cmd/metricscheck requires them.
-	if px != nil && opt.Obs != nil && opt.Weight == nil {
-		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "ripup.speculative", Stage: opt.Stage, Net: -1, Value: float64(px.stats.speculative)})
-		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "ripup.conflicts", Stage: opt.Stage, Net: -1, Value: float64(px.stats.conflicts)})
-		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "ripup.replayed", Stage: opt.Stage, Net: -1, Value: float64(px.stats.replayed)})
-	}
-	// Kernel-labeled wavefront totals, emitted like the speculation totals
-	// above: once per Stage-2 call, zero-valued when no pass ran, so
-	// cmd/metricscheck can require e.g. route.pops.heap.<stage> whenever an
-	// observer is attached.
+	// Kernel-labeled wavefront totals, emitted once per Stage-2 call, not
+	// per pass, and zero-valued when no pass ran, so cmd/metricscheck can
+	// require e.g. route.pops.heap.<stage> whenever an observer is
+	// attached.
 	if tap != nil {
 		label := kernelLabel(opt)
 		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.pops." + label, Stage: opt.Stage, Net: -1, Value: tap.pops})

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +31,21 @@ func grid(t *testing.T, w, h, cap int) *tile.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// cloneRoutes deep-copies a routes slice so two runs can start from the
+// same state.
+func cloneRoutes(routes []*rtree.Tree) []*rtree.Tree {
+	out := make([]*rtree.Tree, len(routes))
+	for i, rt := range routes {
+		c := &rtree.Tree{
+			Tile:     append([]geom.Pt(nil), rt.Tile...),
+			Parent:   append([]int(nil), rt.Parent...),
+			SinkNode: append([]int(nil), rt.SinkNode...),
+		}
+		out[i] = c
+	}
+	return out
 }
 
 func TestRerouteStraightLine(t *testing.T) {
@@ -195,7 +211,7 @@ func TestReduceCongestionEliminatesOverflow(t *testing.T) {
 	if g.WireCongestion().Overflow == 0 {
 		t.Fatal("test setup should overflow")
 	}
-	passes, err := ReduceCongestion(g, nets, routes, order, 3, DefaultOptions(), nil, nil)
+	passes, err := ReduceCongestionCtx(context.Background(), g, nets, routes, order, 3, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +220,116 @@ func TestReduceCongestionEliminatesOverflow(t *testing.T) {
 	}
 	if st := g.WireCongestion(); st.Overflow != 0 {
 		t.Errorf("overflow %d remains after %d passes", st.Overflow, passes)
+	}
+}
+
+// TestRipupPassPartialFailure pins the committed-prefix error contract:
+// when a reroute fails mid-pass, RipupPass reports how many order entries
+// committed, and the graph's usage accounting still matches the routes
+// slice exactly (the failing net's wires are restored).
+func TestRipupPassPartialFailure(t *testing.T) {
+	g, err := tile.New(6, 6, make([]int, 36), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := func(x, y int) netlist.Pin {
+		return netlist.Pin{Tile: geom.Pt{X: x, Y: y}, Pos: geom.FPt{X: float64(x), Y: float64(y)}}
+	}
+	mk := func(id, sx, sy, tx, ty int) *netlist.Net {
+		return &netlist.Net{ID: id, Name: "n", L: 4, Source: pin(sx, sy), Sinks: []netlist.Pin{pin(tx, ty)}}
+	}
+	nets := []*netlist.Net{mk(0, 0, 0, 3, 3), mk(1, 1, 0, 4, 2), mk(2, 0, 1, 5, 5)}
+	routes := make([]*rtree.Tree, len(nets))
+	order := []int{0, 1, 2}
+	for i, n := range nets {
+		rt, err := Reroute(g, n, DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes[i] = rt
+		AddUsage(g, rt)
+	}
+	// Sabotage net 1 after its initial route exists: an out-of-grid sink
+	// makes its reroute fail while net 0 has already committed.
+	nets[1].Sinks[0].Tile = geom.Pt{X: 99, Y: 99}
+
+	committed, err := RipupPass(g, nets, routes, order, DefaultOptions(), nil)
+	if err == nil {
+		t.Fatal("expected mid-pass failure")
+	}
+	if committed != 1 {
+		t.Fatalf("committed = %d, want 1 (net 0 only)", committed)
+	}
+	// The accounting invariant: total registered wires equal total route
+	// edges, for the half-updated routes slice.
+	sum := 0
+	for e := 0; e < g.NumEdges(); e++ {
+		sum += g.Usage(e)
+	}
+	want := 0
+	for _, rt := range routes {
+		want += rt.NumEdges()
+	}
+	if sum != want {
+		t.Fatalf("usage %d != route edges %d after partial failure", sum, want)
+	}
+}
+
+// TestReduceCongestionZeroOverflowSkipsPass: an overflow-free circuit has
+// nothing for Nair iteration to reduce — Stage 2 must report 0 passes and
+// leave the routes untouched (this pinned the wasted-first-pass fix).
+func TestReduceCongestionZeroOverflowSkipsPass(t *testing.T) {
+	g, err := tile.New(8, 8, make([]int, 64), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := func(x, y int) netlist.Pin {
+		return netlist.Pin{Tile: geom.Pt{X: x, Y: y}, Pos: geom.FPt{X: float64(x), Y: float64(y)}}
+	}
+	n := &netlist.Net{ID: 0, Name: "n", L: 4, Source: pin(0, 0), Sinks: []netlist.Pin{pin(7, 7)}}
+	rt, err := Reroute(g, n, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := []*rtree.Tree{rt}
+	AddUsage(g, rt)
+	if g.WireCongestion().Overflow != 0 {
+		t.Fatal("setup: expected zero overflow")
+	}
+	before := cloneRoutes(routes)
+	passes, err := ReduceCongestionCtx(context.Background(), g, []*netlist.Net{n}, routes, []int{0}, 3, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passes != 0 {
+		t.Fatalf("passes = %d on an overflow-free circuit, want 0", passes)
+	}
+	if !treesEqual(before[0], routes[0]) {
+		t.Error("routes changed despite zero passes")
+	}
+}
+
+// TestWireHeatZeroCapacity: a blocked (zero-capacity) edge must not plant
+// +Inf/NaN in the per-tile heat snapshot.
+func TestWireHeatZeroCapacity(t *testing.T) {
+	g, err := tile.New(3, 3, make([]int, 9), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := g.EdgeBetween(geom.Pt{X: 0, Y: 0}, geom.Pt{X: 1, Y: 0})
+	if !ok {
+		t.Fatal("missing grid edge")
+	}
+	g.SetCapacity(e, 0)
+	g.AddWire(e) // a wire on a blocked edge: utilization would be 1/0
+	heat := wireHeat(g, nil)
+	for v, h := range heat {
+		if h != h || h > 1e18 { // NaN or absurd
+			t.Fatalf("tile %d heat = %v with a zero-capacity edge", v, h)
+		}
+	}
+	if heat[0] != 1 {
+		t.Errorf("blocked-edge tile heat = %v, want 1 (usage counts as raw wires)", heat[0])
 	}
 }
 

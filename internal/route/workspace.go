@@ -1,9 +1,7 @@
 // Workspace: reusable scratch memory for the router's hot loops. One
-// Workspace serves one goroutine at a time; core owns one per run, the
-// speculative rip-up engine draws one per worker slot from the Pool (see
-// DESIGN.md, "Parallel rip-up-and-reroute"), and the server recycles them
-// across requests through that same Pool. Every kernel
-// entry point (Reroute, RipupPass, ReduceCongestion[Ctx], BufferAwarePath)
+// Workspace serves one goroutine at a time; core owns one per run, and the
+// server recycles them across requests through the Pool. Every kernel
+// entry point (Reroute, RipupPass, ReduceCongestionCtx, BufferAwarePath)
 // accepts a *Workspace and tolerates nil by allocating a private one, so
 // one-shot callers and tests need no ceremony.
 //
@@ -21,7 +19,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/tile"
 )
 
 // pqItem is a priority-queue entry for the wavefront.
@@ -81,19 +78,6 @@ type Workspace struct {
 	heat    []float64 // per-pass congestion snapshot buffer
 	nodeCnt []int32   // per-node child counts for the needs-prune check
 
-	// Speculative-routing state (the parallel rip-up protocol; see
-	// Parallel and rerouteSpec). active only inside rerouteSpec: edge
-	// costs are then priced at the net's effective usage — the raw usage
-	// minus one on edges carrying the net's own old wires, marked
-	// per-epoch in ownStamp — and every first-touch raw usage read is
-	// appended to reads for commit-time validation.
-	spec struct {
-		active   bool
-		old      *rtree.Tree // the net's current tree, whose wires to subtract
-		ownStamp []uint64    // per-edge: stamp == epoch means subtract one wire
-		reads    []specRead  // (edge, raw usage) in first-evaluation order
-	}
-
 	// Dead route trees donated by RipupPass (see Recycle); their storage
 	// backs the next Reroute's tree, making the steady state alloc-free.
 	free []*rtree.Tree
@@ -130,26 +114,6 @@ func (ws *Workspace) growTiles(n int) {
 	ws.parent = make([]int32, n)
 	ws.nstamp = make([]uint64, n)
 	ws.nodeIdx = make([]int32, n)
-}
-
-// markOwnWires stamps, at the current epoch, every edge carrying a wire of
-// the speculating net's old tree. specEdgeCost prices stamped edges at
-// usage-1, reproducing the congestion the sequential kernel sees after
-// RemoveUsage(old) without mutating the shared graph. Walking the tree's
-// parent pointers directly (instead of EdgePairs) keeps this alloc-free.
-func (ws *Workspace) markOwnWires(g *tile.Graph) {
-	if len(ws.spec.ownStamp) < g.NumEdges() {
-		ws.spec.ownStamp = make([]uint64, g.NumEdges())
-	}
-	old := ws.spec.old
-	if old == nil {
-		return
-	}
-	for v := 1; v < old.NumNodes(); v++ {
-		if e, ok := g.EdgeBetween(old.Tile[old.Parent[v]], old.Tile[v]); ok {
-			ws.spec.ownStamp[e] = ws.epoch
-		}
-	}
 }
 
 // growStates sizes the (tile, j) arrays of the Stage-4 search.

@@ -30,15 +30,6 @@ type Graph struct {
 	// wire, (w+1)/(cap-w) at w = cap-1). See CapMax.
 	capMax int
 
-	// Usage-epoch stamps for optimistic concurrency (the parallel rip-up
-	// commit protocol, see route.Parallel): useEpoch counts wire-usage
-	// mutations, useStamp[e] records the epoch of edge e's last change.
-	// A reader that snapshots UsageEpoch before a read-only phase can later
-	// ask UsageChangedSince(e, snap) to learn whether any writer touched e
-	// in between — O(1), no per-edge diffing.
-	useEpoch uint64
-	useStamp []uint64
-
 	sites []int     // per-tile buffer sites B(v)
 	used  []int     // per-tile used buffer sites b(v)
 	prob  []float64 // per-tile demand p(v) from unprocessed nets
@@ -77,14 +68,13 @@ func New(w, h int, sites []int, capacity int) (*Graph, error) {
 		return nil, fmt.Errorf("tile: %d site entries for %d tiles", len(sites), n)
 	}
 	g := &Graph{
-		W:        w,
-		H:        h,
-		cap:      make([]int, numEdges(w, h)),
-		use:      make([]int, numEdges(w, h)),
-		useStamp: make([]uint64, numEdges(w, h)),
-		sites:    append([]int(nil), sites...),
-		used:     make([]int, n),
-		prob:     make([]float64, n),
+		W:     w,
+		H:     h,
+		cap:   make([]int, numEdges(w, h)),
+		use:   make([]int, numEdges(w, h)),
+		sites: append([]int(nil), sites...),
+		used:  make([]int, n),
+		prob:  make([]float64, n),
 	}
 	for i := range g.cap {
 		g.cap[i] = capacity
@@ -226,8 +216,6 @@ func (g *Graph) SetUniformCapacity(c int) {
 // AddWire records one wire crossing edge e.
 func (g *Graph) AddWire(e int) {
 	g.use[e]++
-	g.useEpoch++
-	g.useStamp[e] = g.useEpoch
 }
 
 // RemoveWire removes one wire crossing edge e. It panics when the edge has
@@ -237,35 +225,12 @@ func (g *Graph) RemoveWire(e int) {
 		panic(fmt.Sprintf("tile: RemoveWire on empty edge %d", e))
 	}
 	g.use[e]--
-	g.useEpoch++
-	g.useStamp[e] = g.useEpoch
-}
-
-// UsageEpoch returns the graph's wire-usage mutation counter: it advances
-// on every AddWire/RemoveWire (and ResetWires), so an unchanged epoch
-// proves no wire usage anywhere was touched. Snapshot it before a
-// read-only phase and pass it to UsageChangedSince afterwards.
-func (g *Graph) UsageEpoch() uint64 { return g.useEpoch }
-
-// UsageChangedSince reports whether edge e's wire usage was mutated after
-// the given UsageEpoch snapshot. It is conservative under remove-then-re-add
-// (the stamp advances even when the usage value round-trips); pair it with
-// a value comparison when exactness matters.
-func (g *Graph) UsageChangedSince(e int, epoch uint64) bool {
-	return g.useStamp[e] > epoch
 }
 
 // WireCost is the congestion cost of Eq. (1) for one additional wire across
 // edge e: (w+1)/(W-w) while w/W < 1, +Inf at or beyond capacity.
 func (g *Graph) WireCost(e int) float64 {
-	return g.WireCostAt(e, g.use[e])
-}
-
-// WireCostAt is WireCost evaluated as if edge e carried w wires instead of
-// its current usage. The speculative router prices edges under "own wires
-// removed" without mutating the shared graph.
-func (g *Graph) WireCostAt(e, w int) float64 {
-	cp := g.cap[e]
+	w, cp := g.use[e], g.cap[e]
 	if w >= cp {
 		return math.Inf(1)
 	}
@@ -397,13 +362,10 @@ func (g *Graph) BufferDensity() BufferStats {
 }
 
 // ResetWires clears all wire usage (used when a stage rebuilds routing from
-// scratch). The usage epoch advances once and stamps every edge, so
-// optimistic readers observe the reset like any other mutation.
+// scratch).
 func (g *Graph) ResetWires() {
-	g.useEpoch++
 	for i := range g.use {
 		g.use[i] = 0
-		g.useStamp[i] = g.useEpoch
 	}
 }
 
@@ -418,19 +380,17 @@ func (g *Graph) ResetBuffers() {
 // on the immutable dimensions and are shared, not copied.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
-		W:        g.W,
-		H:        g.H,
-		cap:      append([]int(nil), g.cap...),
-		capMax:   g.capMax,
-		use:      append([]int(nil), g.use...),
-		useEpoch: g.useEpoch,
-		useStamp: append([]uint64(nil), g.useStamp...),
-		sites:    append([]int(nil), g.sites...),
-		used:     append([]int(nil), g.used...),
-		prob:     append([]float64(nil), g.prob...),
-		adjNbr:   g.adjNbr,
-		adjEdge:  g.adjEdge,
-		adjDeg:   g.adjDeg,
+		W:       g.W,
+		H:       g.H,
+		cap:     append([]int(nil), g.cap...),
+		capMax:  g.capMax,
+		use:     append([]int(nil), g.use...),
+		sites:   append([]int(nil), g.sites...),
+		used:    append([]int(nil), g.used...),
+		prob:    append([]float64(nil), g.prob...),
+		adjNbr:  g.adjNbr,
+		adjEdge: g.adjEdge,
+		adjDeg:  g.adjDeg,
 	}
 }
 

@@ -332,67 +332,6 @@ func TestUsageSnapshotIndependent(t *testing.T) {
 	}
 }
 
-func TestUsageEpochStamps(t *testing.T) {
-	g := mustNew(t, 3, 3, nil, 2)
-	snap := g.UsageEpoch()
-	for e := 0; e < g.NumEdges(); e++ {
-		if g.UsageChangedSince(e, snap) {
-			t.Fatalf("edge %d changed before any mutation", e)
-		}
-	}
-	g.AddWire(3)
-	if !g.UsageChangedSince(3, snap) {
-		t.Error("AddWire must stamp the edge")
-	}
-	if g.UsageChangedSince(2, snap) {
-		t.Error("untouched edge reported changed")
-	}
-	if g.UsageEpoch() == snap {
-		t.Error("epoch must advance on mutation")
-	}
-	snap2 := g.UsageEpoch()
-	g.RemoveWire(3)
-	if !g.UsageChangedSince(3, snap2) {
-		t.Error("RemoveWire must stamp the edge")
-	}
-	// ABA: usage is back to its snap-time value even though the stamp moved
-	// — value comparison is the precise check, stamps only a fast filter.
-	if g.Usage(3) != 0 {
-		t.Error("usage not restored")
-	}
-	snap3 := g.UsageEpoch()
-	g.ResetWires()
-	for e := 0; e < g.NumEdges(); e++ {
-		if !g.UsageChangedSince(e, snap3) {
-			t.Fatalf("ResetWires must stamp edge %d", e)
-		}
-	}
-	cl := g.Clone()
-	if cl.UsageEpoch() != g.UsageEpoch() {
-		t.Error("Clone must carry the usage epoch")
-	}
-	cl.AddWire(0)
-	if g.UsageChangedSince(0, g.UsageEpoch()) {
-		t.Error("clone mutation leaked into original's stamps")
-	}
-}
-
-func TestWireCostAt(t *testing.T) {
-	g := mustNew(t, 2, 2, nil, 2)
-	g.AddWire(0)
-	g.AddWire(0)
-	if got, want := g.WireCost(0), g.WireCostAt(0, g.Usage(0)); got != want {
-		t.Errorf("WireCost %v != WireCostAt(current) %v", got, want)
-	}
-	// Pricing at a hypothetical lower usage must not disturb the graph.
-	if c := g.WireCostAt(0, 0); math.IsInf(c, 1) {
-		t.Errorf("WireCostAt(0 usage) = %v, want finite", c)
-	}
-	if g.Usage(0) != 2 {
-		t.Error("WireCostAt mutated usage")
-	}
-}
-
 func TestEdgeUtilBlockedEdge(t *testing.T) {
 	g := mustNew(t, 2, 2, nil, 2)
 	g.AddWire(0)

@@ -42,7 +42,7 @@ trap 'rm -rf "$workdir"' EXIT
 go build -o "$workdir/benchjson" ./cmd/benchjson
 
 echo "== route microbenchmarks (benchtime=$benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkRipupPassParallel$|BenchmarkBufferAwarePath$|BenchmarkBufferAwarePathIncumbent$' \
+go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkBufferAwarePath$|BenchmarkBufferAwarePathIncumbent$' \
   -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
 
 echo "== search-kernel matrix (benchtime=$benchtime)" >&2
@@ -72,8 +72,8 @@ new=BENCH_route.new.json
 echo "wrote $new" >&2
 
 if [ -f "$baseline" ]; then
-  # Gate the default kernel's hot paths at 10%; everything else (parallel
-  # variants, non-default kernels, macro benchmarks) is report-only.
+  # Gate the default kernel's hot paths at 10%; everything else
+  # (non-default kernels, macro benchmarks) is report-only.
   "$workdir/benchjson" -compare -maxregress 10 \
     -gate '^(BenchmarkReroute|BenchmarkRipupPass|BenchmarkBufferAwarePath|BenchmarkBufferAwarePathIncumbent)$|Kernel(Alpha1)?/heap$' \
     "$baseline" "$new"

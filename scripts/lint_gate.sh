@@ -4,8 +4,8 @@
 #
 #   * the six intraprocedural checks (maprange, wallclock, globalrand,
 #     floateq, narrowcast, errdrop),
-#   * the three interprocedural checks (transitive taint with call paths,
-#     specpure, ctxflow),
+#   * the two interprocedural checks (transitive taint with call paths,
+#     ctxflow),
 #   * the compiler-backed escape gate (-escape) over the hot set in
 #     internal/lint/hotset.txt.
 #
