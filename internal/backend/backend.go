@@ -95,11 +95,9 @@ func Names() []string {
 //   - "rabid" and "mcf" reject a non-empty Library: those engines run the
 //     single-type DP, and accepting (then ignoring) a library would mint
 //     distinct keys for byte-identical results;
-//   - SearchKernel "" becomes "heap" and SteinerMode "" becomes "pd", so
-//     the empty and explicit spellings of the defaults share one content
-//     address (the cache additionally aliases "dial" with "heap" — see
-//     cache.PlanKey — because the dial kernel is byte-identical by
-//     construction);
+//   - SearchKernel goes through route.CanonicalKernel ("" and the retired
+//     "dial" become "heap") and SteinerMode "" becomes "pd", so the empty
+//     and explicit spellings of the defaults share one content address;
 //   - the mcf engine knobs (MCFPhases, MCFEpsilon) are validated here so a
 //     bad request fails before it is keyed or queued.
 //
@@ -112,13 +110,11 @@ func Normalize(p core.Params) (core.Params, error) {
 	if _, ok := registry[p.Backend]; !ok {
 		return p, fmt.Errorf("backend: unknown engine %q (have %v)", p.Backend, Names())
 	}
-	switch p.SearchKernel {
-	case "":
-		p.SearchKernel = route.KernelHeap
-	case route.KernelHeap, route.KernelDial, route.KernelAstar:
-	default:
-		return p, fmt.Errorf("backend: unknown search kernel %q (have %v)", p.SearchKernel, route.Kernels())
+	kernel, err := route.CanonicalKernel(p.SearchKernel)
+	if err != nil {
+		return p, fmt.Errorf("backend: %w", err)
 	}
+	p.SearchKernel = kernel
 	switch p.SteinerMode {
 	case "":
 		p.SteinerMode = core.SteinerPD

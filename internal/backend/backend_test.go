@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/tech"
@@ -129,6 +130,22 @@ func TestNormalize(t *testing.T) {
 			t.Errorf("engine %q accepted a buffer library", name)
 		}
 	}
+
+	// Kernel spellings: the empty default and the retired "dial" run (and
+	// key) as heap, astar stays, anything else is refused.
+	for in, want := range map[string]string{"": "heap", "heap": "heap", "dial": "heap", "astar": "astar"} {
+		k := core.DefaultParams()
+		k.SearchKernel = in
+		got, err := Normalize(k)
+		if err != nil || got.SearchKernel != want {
+			t.Errorf("SearchKernel %q normalized to %q (err %v), want %q", in, got.SearchKernel, err, want)
+		}
+	}
+	unknown := core.DefaultParams()
+	unknown.SearchKernel = "fibheap"
+	if _, err := Normalize(unknown); err == nil || !strings.Contains(err.Error(), "unknown search kernel") {
+		t.Fatalf("unknown kernel error = %v", err)
+	}
 }
 
 func TestRegisterPanics(t *testing.T) {
@@ -140,7 +157,7 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		Register(e)
 	}
-	mustPanic("duplicate", rabidEngine{})
+	mustPanic("duplicate", pipelineEngine{name: NameRabid})
 	mustPanic("empty", emptyNameEngine{})
 }
 
@@ -186,19 +203,35 @@ func scrub(r *core.Result) *core.Result {
 }
 
 // TestPlanRabidMatchesCore pins the refactor: the "rabid" engine is the
-// pre-existing pipeline behind a name, identical to core.Run.
+// pre-existing pipeline behind a name, identical to core.Run — also for
+// Params whose RouteOpt.Kernel disagrees with SearchKernel. The run takes
+// its kernel from SearchKernel alone, so a stray RouteOpt.Kernel (astar,
+// which changes coarse apte's Stage 4, or a name no kernel has) cannot make
+// the same Params plan differently through the two entry points.
 func TestPlanRabidMatchesCore(t *testing.T) {
-	c := testCircuit(t, 11, 25, 10, 10, 3, 4)
-	direct, err := core.Run(c, core.DefaultParams())
+	spec, err := floorplan.BySuiteName("apte")
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaBackend, err := Plan(context.Background(), c, core.DefaultParams())
+	c, err := floorplan.Generate(spec, floorplan.Options{GridW: 10, GridH: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(scrub(direct), scrub(viaBackend)) {
-		t.Fatal("rabid engine result differs from core.Run")
+	for _, routeKernel := range []string{"", "astar", "bogus"} {
+		p := core.DefaultParams()
+		p.TargetStage1Avg = 0.15 // apte's suite calibration
+		p.RouteOpt.Kernel = routeKernel
+		direct, err := core.Run(c, p)
+		if err != nil {
+			t.Fatalf("RouteOpt.Kernel %q: %v", routeKernel, err)
+		}
+		viaBackend, err := Plan(context.Background(), c, p)
+		if err != nil {
+			t.Fatalf("RouteOpt.Kernel %q: %v", routeKernel, err)
+		}
+		if !reflect.DeepEqual(scrub(direct), scrub(viaBackend)) {
+			t.Errorf("RouteOpt.Kernel %q: rabid engine result differs from core.Run", routeKernel)
+		}
 	}
 }
 

@@ -20,34 +20,29 @@ const (
 )
 
 func init() {
-	Register(rabidEngine{})
-	Register(rabidLibEngine{})
+	// "rabid" is the paper's four-stage pipeline with the single planning
+	// buffer — the reference engine whose output is pinned byte-for-byte by
+	// the golden route fixtures.
+	Register(pipelineEngine{NameRabid,
+		"RABID four-stage pipeline (Steiner, rip-up/reroute, length-based buffer DP, post-processing)"})
+	// "rabid+lib" is the same pipeline with the multi-type Stage-3 DP: per
+	// buffer, a gate is chosen from Params.Library (drive-scaled length
+	// constraints, area-scaled site costs, inverter polarity tracking).
+	// Normalize gives it the default library; the pipeline switches DPs on
+	// Params.Library alone.
+	Register(pipelineEngine{NameRabidLib,
+		"RABID pipeline with a buffer library: multi-type DP over sizes and inverters (Li & Shi)"})
 	Register(mcfEngine{})
 }
 
-// rabidEngine is the paper's four-stage pipeline with the single planning
-// buffer — the reference engine whose output is pinned byte-for-byte by
-// the golden route fixtures.
-type rabidEngine struct{}
+// pipelineEngine adapts the RABID pipeline (core.RunContext). The rabid
+// and rabid+lib engines are two registrations of it that differ only in
+// name and description.
+type pipelineEngine struct{ name, desc string }
 
-func (rabidEngine) Name() string { return NameRabid }
-func (rabidEngine) Describe() string {
-	return "RABID four-stage pipeline (Steiner, rip-up/reroute, length-based buffer DP, post-processing)"
-}
-func (rabidEngine) Plan(ctx context.Context, c *netlist.Circuit, p core.Params) (*core.Result, error) {
-	return core.RunContext(ctx, c, p)
-}
-
-// rabidLibEngine is the rabid pipeline with the multi-type Stage-3 DP: per
-// buffer, a gate is chosen from Params.Library (drive-scaled length
-// constraints, area-scaled site costs, inverter polarity tracking).
-type rabidLibEngine struct{}
-
-func (rabidLibEngine) Name() string { return NameRabidLib }
-func (rabidLibEngine) Describe() string {
-	return "RABID pipeline with a buffer library: multi-type DP over sizes and inverters (Li & Shi)"
-}
-func (rabidLibEngine) Plan(ctx context.Context, c *netlist.Circuit, p core.Params) (*core.Result, error) {
+func (e pipelineEngine) Name() string     { return e.name }
+func (e pipelineEngine) Describe() string { return e.desc }
+func (pipelineEngine) Plan(ctx context.Context, c *netlist.Circuit, p core.Params) (*core.Result, error) {
 	return core.RunContext(ctx, c, p)
 }
 

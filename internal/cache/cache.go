@@ -28,12 +28,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/route"
 	"repro/internal/tech"
 )
 
-// keyVersion is baked into every key so a change to the key material's
-// layout (or to result-affecting semantics) invalidates old entries rather
-// than aliasing them.
+// keyVersion is baked into every key. Bump it when the key material's
+// layout changes (a field added, removed, renamed or re-encoded), so keys
+// of the old layout cannot alias new ones. A change that only alters what
+// some request computes does not bump it: the cache lives only in memory,
+// and the one thing that persists, the journal, re-derives every entry's
+// key on replay (cmd/journal replay), so a bump would fail key
+// verification for every recorded entry, not just the changed ones. Such
+// entries replay with result and event mismatches instead, which name
+// exactly the requests whose results moved.
 const keyVersion = 3
 
 // planMaterial enumerates, exhaustively and in a fixed order, every field
@@ -65,26 +72,14 @@ type planMaterial struct {
 	// entries computed under the old one.
 	Backend string         `json:"backend"`
 	Library []tech.LibGate `json:"library,omitempty"`
-	// SearchKernel is keyed through searchKernelKey: "heap" and "dial" are
-	// byte-identical by construction (the dial queue reproduces the heap's
-	// (key, node) pop order exactly), so they share one address; "astar"
-	// returns identical path costs but may break tree tie-breaks differently,
-	// so it mints its own.
+	// SearchKernel is keyed through route.CanonicalKernel: "", "heap" and
+	// the retired "dial" run the same search, so they share one address;
+	// "astar" returns identical path costs but may break tree tie-breaks
+	// differently, so it mints its own.
 	SearchKernel string  `json:"search_kernel"`
 	SteinerMode  string  `json:"steiner_mode"`
 	MCFPhases    int     `json:"mcf_phases"`
 	MCFEpsilon   float64 `json:"mcf_epsilon"`
-}
-
-// searchKernelKey canonicalizes a kernel name for key material: "" and
-// "dial" map to "heap" because both produce byte-identical results (the
-// equivalence TestDialByteIdentical* proves); anything else keys as itself.
-func searchKernelKey(kernel string) string {
-	switch kernel {
-	case "", "dial":
-		return "heap"
-	}
-	return kernel
 }
 
 // steinerModeKey canonicalizes a Steiner mode for key material: "" is the
@@ -98,11 +93,15 @@ func steinerModeKey(mode string) string {
 
 // PlanKey derives the content address of a RABID run: a hex SHA-256 over
 // the canonical serialization of (circuit, params, tech). It fails when
-// the parameters carry a custom RouteOpt.Weight function — a result-
-// affecting input the cache cannot address by content.
+// the parameters carry a custom RouteOpt.Weight — a result-affecting input
+// the key material does not cover — or name an unknown search kernel.
 func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 	if p.RouteOpt.Weight != nil {
 		return "", fmt.Errorf("cache: params with a custom RouteOpt.Weight are not content-addressable")
+	}
+	kernel, err := route.CanonicalKernel(p.SearchKernel)
+	if err != nil {
+		return "", fmt.Errorf("cache: %w", err)
 	}
 	return hash(planMaterial{
 		Version:           keyVersion,
@@ -121,7 +120,7 @@ func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 		UseMCFRouter:      p.UseMCFRouter,
 		Backend:           p.Backend,
 		Library:           p.Library,
-		SearchKernel:      searchKernelKey(p.SearchKernel),
+		SearchKernel:      kernel,
 		SteinerMode:       steinerModeKey(p.SteinerMode),
 		MCFPhases:         p.MCFPhases,
 		MCFEpsilon:        p.MCFEpsilon,

@@ -121,10 +121,9 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 			t.Errorf("core.Params field %s has no entry in the key-sensitivity table; decide its cache treatment", pt.Field(i).Name)
 		}
 	}
-	// The dial kernel reproduces the heap's (key, node) pop order exactly
-	// (TestDialByteIdentical*), so "dial", "heap", and the empty default must
-	// share one content address.
-	for _, kernel := range []string{route.KernelHeap, route.KernelDial} {
+	// "heap", the empty default and the retired "dial" run the same search
+	// (route.CanonicalKernel), so they must share one content address.
+	for _, kernel := range []string{route.KernelHeap, "dial"} {
 		p := core.DefaultParams()
 		p.SearchKernel = kernel
 		if k, _ := PlanKey(c, p); k != base {
@@ -145,13 +144,13 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 	}
 }
 
-// TestPlanKeyRejectsWeightFunc: a custom routing weight cannot be content-
-// addressed and must be refused, not silently ignored.
-func TestPlanKeyRejectsWeightFunc(t *testing.T) {
+// TestPlanKeyRejectsWeight: a custom routing weight is not part of the key
+// material and must be refused, not silently ignored.
+func TestPlanKeyRejectsWeight(t *testing.T) {
 	p := core.DefaultParams()
-	p.RouteOpt.Weight = func(int) float64 { return 1 }
+	p.RouteOpt.Weight = []float64{1}
 	if _, err := PlanKey(testCircuit(t, 1), p); err == nil {
-		t.Error("PlanKey accepted a params with a custom Weight func")
+		t.Error("PlanKey accepted a params with a custom Weight")
 	}
 }
 

@@ -70,21 +70,22 @@ type Params struct {
 	// every run so a bad value fails fast rather than mid-pipeline.
 	MCFPhases  int
 	MCFEpsilon float64
-	// SearchKernel selects the router's wavefront implementation for every
-	// Stage-2/Stage-4 search in the run ("heap", "dial", "astar"; "" means
-	// "heap" — see route.Kernels). "dial" is byte-identical to "heap" on
-	// every input; "astar" returns identical path costs with fewer pops
-	// (popped order — and hence tree tie-breaks — may differ, so it mints
-	// its own cache key). A non-empty value overrides RouteOpt.Kernel.
+	// SearchKernel selects the pop order of the Stage-4 search ("heap",
+	// "astar"; "" and the retired "dial" mean "heap" — see
+	// route.CanonicalKernel). Stage 2 always runs the heap. "astar" returns
+	// identical path costs with fewer pops (popped order — and hence tree
+	// tie-breaks — may differ, so it mints its own cache key). The run
+	// always sets RouteOpt.Kernel from this field; a value set there
+	// directly is ignored.
 	SearchKernel string
 	// SteinerMode selects the Stage-1 construction objective ("pd",
 	// "costdist"; "" means "pd"). "pd" is the paper's Prim–Dijkstra
 	// tradeoff tree at Alpha. "costdist" builds Held–Perner-style
 	// cost-distance trees with per-net weight 1/L, and reroutes Stage 2 at
-	// alpha = 1 (pure congestion-priced shortest paths, the regime where
-	// the astar kernel's heuristic provably engages): the tradeoff is
-	// carried per net by the construction objective instead of the global
-	// Alpha, so the reroute can optimize distance under congestion alone.
+	// alpha = 1 (pure congestion-priced shortest paths, on the heap under
+	// every SearchKernel): the tradeoff is carried per net by the
+	// construction objective instead of the global Alpha, so the reroute
+	// can optimize distance under congestion alone.
 	SteinerMode string
 	// Backend names the planning engine ("rabid", "rabid+lib", "mcf"; ""
 	// means "rabid"). The core pipeline does not dispatch on it — that is
@@ -309,17 +310,15 @@ func newState(ctx context.Context, c *netlist.Circuit, p Params) (*state, error)
 	if p.MaxRipupPasses < 1 {
 		return nil, fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
 	}
-	switch p.SearchKernel {
-	case "", route.KernelHeap, route.KernelDial, route.KernelAstar:
-	default:
-		return nil, fmt.Errorf("core: unknown search kernel %q (want %v)", p.SearchKernel, route.Kernels())
+	// Params.SearchKernel is the request-level spelling; the router reads
+	// Options.Kernel, so it lands once here and every Stage-2/Stage-4
+	// Options copy below inherits it. Setting it unconditionally makes Run
+	// and backend.Plan agree on the same Params.
+	kernel, err := route.CanonicalKernel(p.SearchKernel)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if p.SearchKernel != "" {
-		// Params.SearchKernel is the request-level spelling; the router
-		// reads Options.Kernel, so the override lands once here and every
-		// Stage-2/Stage-4 Options copy below inherits it.
-		p.RouteOpt.Kernel = p.SearchKernel
-	}
+	p.RouteOpt.Kernel = kernel
 	switch p.SteinerMode {
 	case "", SteinerPD, SteinerCostDist:
 	default:
@@ -519,8 +518,7 @@ func (s *state) stage2() error {
 	if s.p.SteinerMode == SteinerCostDist {
 		// Cost-distance mode carries the radius/wirelength tradeoff per net
 		// in the Stage-1 objective, so the reroute optimizes congestion-
-		// priced distance alone — and at alpha = 1 the astar kernel's
-		// heuristic is provably engaged (see route/kernel.go).
+		// priced distance alone. Like every Stage 2, it runs the heap.
 		opt.Alpha = 1
 	}
 	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws); err != nil {

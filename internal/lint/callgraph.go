@@ -24,9 +24,9 @@ import (
 //   - calls through function-typed variables resolve intraprocedurally: a
 //     local assigned from named functions anywhere in the enclosing
 //     declaration calls all of them. Function values that cross a function
-//     boundary (stored in struct fields like route.Options.Weight, passed
-//     as arguments) are NOT tracked — a documented soundness limit (see
-//     DESIGN.md "Static analysis").
+//     boundary (stored in struct fields, or passed as arguments like
+//     bufferdp's q func) are NOT tracked — a documented soundness limit
+//     (see DESIGN.md "Static analysis").
 //
 // Function literals do not get their own nodes: a literal's body is
 // attributed to the enclosing declared function, which matches how the

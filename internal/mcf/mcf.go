@@ -135,7 +135,7 @@ func RouteCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, opt Optio
 			}
 		}
 	}
-	opt.RouteOpt.Weight = func(e int) float64 { return length[e] }
+	opt.RouteOpt.Weight = length
 
 	// Per-net tree pool with selection counts.
 	pools := make([]pool, len(nets))

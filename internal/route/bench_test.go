@@ -97,81 +97,9 @@ func reportWavefront(b *testing.B, m *obs.Metrics, popsKey, relaxKey string) {
 	b.ReportMetric(m.Counter(relaxKey), "relaxations/op")
 }
 
-// BenchmarkRerouteKernel is the search-kernel matrix for the Stage-2
-// wavefront at the pipeline's default alpha (0.4). The astar row falls back
-// to heap order here (the PD key is non-monotone below alpha = 1; see
-// kernel.go), so it documents the fallback's overhead — the heuristic's
-// pops win shows up in BenchmarkRerouteKernelAlpha1 and the Stage-4 matrix.
-func BenchmarkRerouteKernel(b *testing.B) {
-	for _, kernel := range Kernels() {
-		b.Run(kernel, func(b *testing.B) {
-			g, nets, routes, _ := benchWorkload(b)
-			n := nets[17]
-			RemoveUsage(g, routes[17])
-			opt := DefaultOptions()
-			opt.Kernel = kernel
-			probe := opt
-			probe.Obs = obs.NewMetrics()
-			ws := NewWorkspace()
-			rt, err := Reroute(g, n, probe, ws)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws.Recycle(rt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt, err := Reroute(g, n, opt, ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ws.Recycle(rt)
-			}
-			b.StopTimer()
-			reportWavefront(b, probe.Obs.(*obs.Metrics), "route.pops", "route.relaxations")
-		})
-	}
-}
-
-// BenchmarkRerouteKernelAlpha1 is the same matrix at alpha = 1 — the
-// cost-distance Steiner mode's Stage-2 regime, where the astar kernel's
-// consistent heuristic engages and prunes pops while returning identical
-// path costs (TestAstarCostIdenticalReroute).
-func BenchmarkRerouteKernelAlpha1(b *testing.B) {
-	for _, kernel := range Kernels() {
-		b.Run(kernel, func(b *testing.B) {
-			g, nets, routes, _ := benchWorkload(b)
-			n := nets[17]
-			RemoveUsage(g, routes[17])
-			opt := DefaultOptions()
-			opt.Kernel = kernel
-			opt.Alpha = 1
-			probe := opt
-			probe.Obs = obs.NewMetrics()
-			ws := NewWorkspace()
-			rt, err := Reroute(g, n, probe, ws)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws.Recycle(rt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt, err := Reroute(g, n, opt, ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ws.Recycle(rt)
-			}
-			b.StopTimer()
-			reportWavefront(b, probe.Obs.(*obs.Metrics), "route.pops", "route.relaxations")
-		})
-	}
-}
-
 // BenchmarkBufferAwarePathKernel is the kernel matrix for the Stage-4
-// (tile, j) maze — the pipeline's dominant pops source, and the search the
-// astar kernel always accelerates (pure Dijkstra, consistent heuristic,
+// (tile, j) maze — the pipeline's dominant pops source, and the only search
+// the kernel choice reaches (pure Dijkstra, consistent heuristic,
 // goal-directed long two-point path).
 func BenchmarkBufferAwarePathKernel(b *testing.B) {
 	for _, kernel := range Kernels() {

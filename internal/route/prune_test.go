@@ -39,12 +39,12 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	ws.growStates(nt * L)
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
-	kern, err := resolveKernel(opt)
+	kern, err := CanonicalKernel(opt.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	ws.qReset(kern, g, opt)
-	if kern == kAstar {
+	astar := kern == KernelAstar
+	if astar {
 		ws.oracleArmPath(g, headIdx, blocked, opt)
 	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
@@ -52,22 +52,21 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	ws.sDist[start] = 0
 	ws.sPred[start] = -1
 	ws.sDone[start] = false
-	ws.qPush(pqItem{start, 0}) // sole item: its priority never competes
+	ws.pushPQ(pqItem{start, 0}) // sole item: its priority never competes
 	goal := -1
-	memo := opt.Weight == nil
 	tally := opt.Obs != nil
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
 		pushes = 1
-		if kern == kAstar {
+		if astar {
 			// The arming reverse Dijkstra is real queue work; charging it
 			// here keeps the per-kernel pops/relaxations comparison honest.
 			pops += ws.astar.armPops
 			relaxations += ws.astar.armRelax
 		}
 	}
-	for ws.qLen() > 0 {
-		it := ws.qPop()
+	for len(ws.q) > 0 {
+		it := ws.popPQ()
 		if tally {
 			pops++
 		}
@@ -91,9 +90,9 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 			if tally {
 				relaxations++
 			}
-			wc := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			wc := ws.edgeCostMemo(g, int(edges[x]), opt)
 			var hw float64
-			if kern == kAstar {
+			if astar {
 				hw = ws.oracleHPath(w)
 			}
 			// Advance without buffering.
@@ -108,7 +107,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.qPush(pqItem{ns, nd + hw})
+					ws.pushPQ(pqItem{ns, nd + hw})
 					if tally {
 						pushes++
 					}
@@ -125,7 +124,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 				ws.sDist[ns] = nd
 				//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 				ws.sPred[ns] = int32(s)
-				ws.qPush(pqItem{ns, nd + hw})
+				ws.pushPQ(pqItem{ns, nd + hw})
 				if tally {
 					pushes++
 				}
@@ -163,7 +162,6 @@ func (ws *Workspace) oracleArmPath(g *tile.Graph, head int, blocked []bool, opt 
 	}
 	a.armPops, a.armRelax = 0, 0
 	ep := ws.epoch
-	memo := opt.Weight == nil
 	a.hd[head] = 0
 	a.hs[head] = ep
 	ws.q = ws.q[:0]
@@ -184,7 +182,7 @@ func (ws *Workspace) oracleArmPath(g *tile.Graph, head int, blocked []bool, opt 
 		for x, v32 := range nbrs {
 			v := int(v32)
 			a.armRelax++
-			d := it.key + ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			d := it.key + ws.edgeCostMemo(g, int(edges[x]), opt)
 			if a.hs[v] != ep || d < a.hd[v] {
 				a.hs[v] = ep
 				a.hd[v] = d
@@ -336,8 +334,8 @@ func randomPathInstance(t *testing.T, r *rand.Rand, trial int) pathInstance {
 // path itself (the tightest bound, where only the rounding slack separates
 // the returned chain from pruned states), all on ws. It fails unless every
 // call returns the oracle's error, path and bit-for-bit head cost, and
-// (heap and dial) unless the incumbent pass prices the optimal path at
-// exactly that head cost. It returns the oracle's pops, and the pruned search's pops and pushes
+// (heap) unless the incumbent pass prices the optimal path at exactly that
+// head cost. It returns the oracle's pops, and the pruned search's pops and pushes
 // without an incumbent and pushes with the near one, as opt.Obs counts
 // them.
 func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspace, label string) (oraclePops, pops, pushes, boundPushes float64) {
@@ -361,7 +359,7 @@ func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspac
 	// above the optimum; see TestBufferAwarePathAstarTieRegression.)
 	if werr == nil && opt.Kernel != KernelAstar {
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, optimal, in.tail, in.head, L, in.blocked, opt, opt.Weight == nil); !ok || math.Float64bits(u) != math.Float64bits(wantCost) {
+		if u, ok := ws.incumbentCost(g, optimal, in.tail, in.head, L, in.blocked, opt); !ok || math.Float64bits(u) != math.Float64bits(wantCost) {
 			t.Fatalf("%s %s: incumbent cost of the optimal path = %v (ok=%v), search cost %v", label, opt.Kernel, u, ok, wantCost)
 		}
 	}
@@ -393,7 +391,7 @@ func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspac
 // TestBufferAwarePathMatchesOracle is the equivalence contract of the
 // pruned Stage-4 search: on random instances (see randomPathInstance) it
 // must return exactly the oracle's path, error and bit-for-bit head cost,
-// under the heap, dial and astar kernels, with and without incumbents (see
+// under the heap and astar kernels, with and without incumbents (see
 // checkAgainstOracle). Every call shares one dirty workspace, interleaved
 // with Reroutes that reuse the tile arrays the dominance record borrows.
 func TestBufferAwarePathMatchesOracle(t *testing.T) {
@@ -414,7 +412,7 @@ func TestBufferAwarePathMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, kernel := range []string{KernelHeap, KernelDial, KernelAstar} {
+		for _, kernel := range Kernels() {
 			opt := DefaultOptions()
 			opt.Kernel = kernel
 			if trial%7 == 0 {
@@ -473,12 +471,12 @@ func TestIncumbentCost(t *testing.T) {
 		optimal := slices.Clone(path)
 		slices.Reverse(optimal)
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, optimal, tail, head, L, blocked, opt, true); !ok || math.Float64bits(u) != math.Float64bits(best) {
+		if u, ok := ws.incumbentCost(g, optimal, tail, head, L, blocked, opt); !ok || math.Float64bits(u) != math.Float64bits(best) {
 			t.Fatalf("L=%d: incumbent cost of the optimal path = %v (ok=%v), search cost %v", L, u, ok, best)
 		}
 		other := benchIncumbent(t, g, tail, head, blocked)
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, other, tail, head, L, blocked, opt, true); !ok || u < best {
+		if u, ok := ws.incumbentCost(g, other, tail, head, L, blocked, opt); !ok || u < best {
 			t.Fatalf("L=%d: incumbent cost of another legal walk = %v (ok=%v), below the optimum %v", L, u, ok, best)
 		}
 	}
@@ -507,7 +505,7 @@ func TestIncumbentCost(t *testing.T) {
 		"head in middle": {viaHead, blocked},
 	} {
 		ws.begin(g.NumEdges())
-		if _, ok := ws.incumbentCost(g, tc.walk, tail, head, 6, tc.blocked, opt, true); ok {
+		if _, ok := ws.incumbentCost(g, tc.walk, tail, head, 6, tc.blocked, opt); ok {
 			t.Errorf("%s: illegal walk accepted as an incumbent", name)
 		}
 	}

@@ -32,17 +32,17 @@ type Options struct {
 	// huge cost still makes the router exhaust all finite options first.
 	OverflowPenalty float64
 	// Weight, when non-nil, replaces the congestion cost of Eq. (1) as the
-	// per-edge routing cost (LengthWeight is still added). The
-	// multicommodity-flow router uses this to route under its own
-	// exponential edge lengths.
-	Weight func(e int) float64
-	// Kernel selects the wavefront priority-queue implementation:
-	// KernelHeap (binary heap, the default; "" means heap), KernelDial
-	// (bucket queue, byte-identical results), or KernelAstar (goal-directed,
-	// identical path costs, fewer pops). See kernel.go and DESIGN.md
-	// "Search kernels". A non-nil Weight falls back to the heap — the
-	// custom cost function publishes none of the bounds the other kernels
-	// need.
+	// per-edge routing cost: edge e costs Weight[e] (LengthWeight is still
+	// added), and len(Weight) must equal g.NumEdges(). nil means Eq. (1).
+	// The multicommodity-flow router routes under its own exponential edge
+	// lengths this way; the entries must be non-negative and must not
+	// change during a call.
+	Weight []float64
+	// Kernel selects the pop order of the Stage-4 search, BufferAwarePath:
+	// KernelHeap (cost order, the default; "" means heap) or KernelAstar
+	// (cost plus an exact lower bound on the remaining cost: identical path
+	// costs, fewer pops). Stage 2 — Reroute and RipupPass — always runs the
+	// heap. See kernel.go and DESIGN.md "Search kernels".
 	Kernel string
 	// Obs receives router telemetry: per-net wavefront pop/push counters,
 	// rip-up pass spans with the per-pass overflow trajectory, and
@@ -66,7 +66,7 @@ func DefaultOptions() Options {
 func edgeCost(g *tile.Graph, e int, opt Options) float64 {
 	var c float64
 	if opt.Weight != nil {
-		c = opt.Weight(e)
+		c = opt.Weight[e]
 	} else {
 		c = g.WireCost(e)
 	}
@@ -76,30 +76,26 @@ func edgeCost(g *tile.Graph, e int, opt Options) float64 {
 	return c + opt.LengthWeight
 }
 
-// edgeCostMemo is edgeCost with a per-call memo: within one kernel call the
-// congestion state of g is static (a net's own wires are removed before it
-// reroutes), so every evaluation of an edge yields the same value and the
-// first one can be cached under the call's epoch. memo is false under
-// Options.Weight — a caller-supplied cost function may close over state the
-// workspace cannot see.
-func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options, memo bool) float64 {
-	if memo {
-		if ws.ecStamp[e] == ws.epoch {
-			return ws.ec[e]
-		}
-		c := edgeCost(g, e, opt)
-		ws.ecStamp[e] = ws.epoch
-		ws.ec[e] = c
-		return c
+// edgeCostMemo is edgeCost with a per-call memo: within one search call the
+// congestion state of g and Options.Weight are static (a net's own wires
+// are removed before it reroutes), so every evaluation of an edge yields
+// the same value and the first one can be cached under the call's epoch.
+func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options) float64 {
+	if ws.ecStamp[e] == ws.epoch {
+		return ws.ec[e]
 	}
-	return edgeCost(g, e, opt)
+	c := edgeCost(g, e, opt)
+	ws.ecStamp[e] = ws.epoch
+	ws.ec[e] = c
+	return c
 }
 
 // Reroute computes a fresh route tree for the net on the current congestion
 // state of g. The net's own previous wires must already be removed from g
 // (see RemoveUsage). The route is a union of wavefront paths from the
 // source tile to every sink tile, traced back through the predecessor
-// labels, exactly as described for Stage 2.
+// labels, exactly as described for Stage 2. The wavefront is the plain
+// binary-heap expansion under every Options.Kernel.
 //
 // ws supplies the reusable scratch arrays and recycled tree storage; nil is
 // allowed (a private workspace is allocated). With a warmed workspace and a
@@ -135,27 +131,18 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 		remaining--
 	}
 
-	kern, err := rerouteKernel(opt)
-	if err != nil {
-		return nil, err
-	}
-	ws.qReset(kern, g, opt)
-	if kern == kAstar {
-		ws.astarArmReroute(g, n, opt)
-	}
 	ws.stamp[srcIdx] = ep
 	ws.key[srcIdx] = 0
 	ws.pathCost[srcIdx] = 0
 	ws.done[srcIdx] = false
-	ws.qPush(pqItem{srcIdx, 0}) // sole item: its priority never competes
-	memo := opt.Weight == nil
-	tally := opt.Obs != nil // counter bookkeeping only when someone listens
+	ws.pushPQ(pqItem{srcIdx, 0}) // sole item: its priority never competes
+	tally := opt.Obs != nil      // counter bookkeeping only when someone listens
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
 		pushes = 1
 	}
-	for ws.qLen() > 0 && remaining > 0 {
-		it := ws.qPop()
+	for len(ws.q) > 0 && remaining > 0 {
+		it := ws.popPQ()
 		if tally {
 			pops++
 		}
@@ -185,17 +172,13 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 			if tally {
 				relaxations++
 			}
-			ec := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			ec := ws.edgeCostMemo(g, int(edges[x]), opt)
 			if k := base + ec; k < ws.key[v] {
 				ws.key[v] = k
 				ws.pathCost[v] = pcu + ec
 				//rabid:allow narrowcast tile indices are < NumTiles <= MaxInt32, enforced by tile.New
 				ws.pred[v] = int32(u)
-				pr := k
-				if kern == kAstar {
-					pr += ws.astarHR(v, ec)
-				}
-				ws.qPush(pqItem{v, pr})
+				ws.pushPQ(pqItem{v, k})
 				if tally {
 					pushes++
 				}
@@ -454,12 +437,12 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 	}
 	// Kernel-labeled wavefront totals, emitted once per Stage-2 call, not
 	// per pass, and zero-valued when no pass ran, so cmd/metricscheck can
-	// require e.g. route.pops.heap.<stage> whenever an observer is
-	// attached.
+	// require route.pops.heap.<stage> whenever an observer is attached.
+	// Stage 2 always runs the heap, so the label is heap under every
+	// Options.Kernel.
 	if tap != nil {
-		label := kernelLabel(opt)
-		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.pops." + label, Stage: opt.Stage, Net: -1, Value: tap.pops})
-		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.relaxations." + label, Stage: opt.Stage, Net: -1, Value: tap.relaxations})
+		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.pops." + KernelHeap, Stage: opt.Stage, Net: -1, Value: tap.pops})
+		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.relaxations." + KernelHeap, Stage: opt.Stage, Net: -1, Value: tap.relaxations})
 	}
 	return passes, nil
 }
@@ -529,8 +512,8 @@ func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
 // below the slack.
 const boundSlack = 1e-9
 
-// boundMinL is the smallest length constraint at which the heap and dial
-// kernels arm the reverse-Dijkstra h of the incumbent bound. Below it a
+// boundMinL is the smallest length constraint at which the heap kernel
+// arms the reverse-Dijkstra h of the incumbent bound. Below it a
 // tile carries at most two labels, and the tile-level arming search costs
 // more than the (tile, j) work it saves, so the bound runs with h = 0 (see
 // DESIGN.md "Bounded Stage-4 search").
@@ -548,8 +531,8 @@ const boundMinL = 3
 // incumbent, when non-nil, is a known tail-to-head walk — Stage 4 passes
 // the ripped two-path itself. Its cost under the same recurrence bounds the
 // optimum from above, and states that provably cannot beat it are never
-// pushed. Under the heap and dial kernels, label dominance also skips a
-// state when its tile already expanded a smaller j at no greater cost.
+// pushed. Under the heap kernel, label dominance also skips a state when
+// its tile already expanded a smaller j at no greater cost.
 // Both prune only states that cannot lie on the returned path: the pop
 // order (cost, then state index) and the first-strict-improvement
 // predecessor rule are those of the plain Dijkstra, so the result is
@@ -583,20 +566,19 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	ws.growTiles(nt)       //rabid:allow allocfree inlined grow path: tile scratch reallocates only when the graph outgrows the workspace
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
-	kern, err := resolveKernel(opt)
+	kern, err := CanonicalKernel(opt.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	ws.qReset(kern, g, opt)
-	memo := opt.Weight == nil
+	astar := kern == KernelAstar
 	limit := math.Inf(1)
-	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, opt, memo); ok {
+	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, opt); ok {
 		limit = u * (1 + boundSlack)
 	}
-	// h is the astar kernel's heuristic; the heap and dial kernels arm it
-	// only for a finite bound at L >= boundMinL and otherwise prune with
-	// h = 0. Their pop keys stay the plain costs either way.
-	armed := kern == kAstar || (L >= boundMinL && !math.IsInf(limit, 1))
+	// h is the astar kernel's heuristic; the heap kernel arms it only for a
+	// finite bound at L >= boundMinL and otherwise prunes with h = 0. Its
+	// pop keys stay the plain costs either way.
+	armed := astar || (L >= boundMinL && !math.IsInf(limit, 1))
 	if armed {
 		ws.armPathBound(g, headIdx, blocked, opt, limit)
 	}
@@ -605,7 +587,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	ws.sDist[start] = 0
 	ws.sPred[start] = -1
 	ws.sDone[start] = false
-	ws.qPush(pqItem{start, 0}) // sole item: its priority never competes
+	ws.pushPQ(pqItem{start, 0}) // sole item: its priority never competes
 	goal := -1
 	tally := opt.Obs != nil
 	pops, pushes, relaxations := 0, 0, 0
@@ -624,14 +606,14 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	// domCost[t] that state's cost.
 	domStamp, domCost, domJ := ws.stamp, ws.key, ws.pred
 	// Skipping dominated states is exact when states pop in cost order, as
-	// under heap and dial. astar pops by cost + h, and keys that tie after
+	// under heap. astar pops by cost + h, and keys that tie after
 	// rounding while costs do not can pop a state before a cheaper label
 	// for it arrives; skipping a dominated state there changes which
 	// states are done when, and with it the result. astar therefore keeps
 	// every state and is pruned by the bound alone.
-	dominance := kern != kAstar
-	for ws.qLen() > 0 {
-		it := ws.qPop()
+	dominance := !astar
+	for len(ws.q) > 0 {
+		it := ws.popPQ()
 		if tally {
 			pops++
 		}
@@ -677,11 +659,11 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 			if tally {
 				relaxations++
 			}
-			wc := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			wc := ws.edgeCostMemo(g, int(edges[x]), opt)
 			var hw, hk float64 // the lower bound at w, and its share of the pop key
 			if armed {
 				hw = ws.pathBound(w)
-				if kern == kAstar {
+				if astar {
 					hk = hw
 				}
 			}
@@ -700,7 +682,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.qPush(pqItem{ns, nd + hk})
+					ws.pushPQ(pqItem{ns, nd + hk})
 					if tally {
 						pushes++
 					}
@@ -722,7 +704,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.qPush(pqItem{ns, nd + hk})
+					ws.pushPQ(pqItem{ns, nd + hk})
 					if tally {
 						pushes++
 					}
@@ -758,7 +740,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 // above. ok is false when the walk is empty or not a legal path of the
 // search: wrong ends, a non-adjacent step, or a blocked or head tile in its
 // interior.
-func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geom.Pt, L int, blocked []bool, opt Options, memo bool) (float64, bool) {
+func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geom.Pt, L int, blocked []bool, opt Options) (float64, bool) {
 	n := len(walk)
 	if n == 0 || walk[0] != tail || walk[n-1] != head {
 		return 0, false
@@ -785,7 +767,7 @@ func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geo
 		if !ok {
 			return 0, false
 		}
-		wc := ws.edgeCostMemo(g, e, opt, memo)
+		wc := ws.edgeCostMemo(g, e, opt)
 		site := siteCostClamped(g, wi, opt)
 		buf := math.Inf(1)
 		for j, c := range cur {

@@ -51,19 +51,16 @@ type Workspace struct {
 	stack   []int32  // pending chain in the iterative parent-first insert
 
 	// Per-call memoized edge costs (Reroute and BufferAwarePath evaluate
-	// each edge many times; usage is static within one call). Disabled
-	// under Options.Weight — see edgeCost.
+	// each edge many times; usage and Options.Weight are static within one
+	// call) — see edgeCostMemo.
 	ecStamp []uint64
 	ec      []float64
 
-	// Wavefront heap (concrete pqItem slice, no interface boxing). The
-	// heap and astar kernels pop from q; the dial kernel uses the bucket
-	// queue below. kern is armed per call by qReset (see kernel.go).
-	q    []pqItem
-	kern kernelID
+	// Wavefront heap (concrete pqItem slice, no interface boxing), shared
+	// by every search.
+	q []pqItem
 
-	// Dial bucket-queue and A*-heuristic state (see kernel.go).
-	dial  dialState
+	// BufferAwarePath's remaining-cost lower bound (see kernel.go).
 	astar astarState
 
 	// (tile, j) search state, one entry per state (BufferAwarePath).
@@ -132,23 +129,20 @@ func (ws *Workspace) growStates(n int) {
 // pushPQ and popPQ are container/heap.Push and container/heap.Pop
 // specialized to []pqItem, with one deliberate strengthening: the
 // comparison is the explicit total order (key, node) rather than key
-// alone. Equal-key pops therefore surface the smallest node index first —
-// an order every search kernel (heap, dial, astar far region) can
-// reproduce independently of its internal layout, which is what lets the
-// Dial bucket queue match the heap byte for byte. A node is pushed again
-// only when its key strictly improves, so no two live entries are ever
-// fully equal and the order is strict.
+// alone.
 
 // pqLess is the wavefront's total order: by key, then by node index.
+// Equal-key pops therefore surface the smallest node index first, so the
+// pop sequence, and with it every route tie-break, is a function of the
+// pushed items alone, not of the heap's shape or push history. A node is
+// pushed again only when its key strictly improves, so no two live entries
+// are ever fully equal and the order is strict.
 func pqLess(a, b pqItem) bool {
 	return a.key < b.key || (a.key == b.key && a.node < b.node) //rabid:allow floateq tie-break on exact key equality is the point: equal keys fall through to the node index, never to float tolerance
 }
 
-// heapPushPQ and heapPopPQ are the slice-level sift loops, shared by the
-// main wavefront heap and the dial kernel's far region (kernel.go).
-
-func heapPushPQ(q []pqItem, it pqItem) []pqItem {
-	q = append(q, it)
+func (ws *Workspace) pushPQ(it pqItem) {
+	q := append(ws.q, it)
 	j := len(q) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
@@ -158,10 +152,11 @@ func heapPushPQ(q []pqItem, it pqItem) []pqItem {
 		q[i], q[j] = q[j], q[i]
 		j = i
 	}
-	return q
+	ws.q = q
 }
 
-func heapPopPQ(q []pqItem) (pqItem, []pqItem) {
+func (ws *Workspace) popPQ() pqItem {
+	q := ws.q
 	n := len(q) - 1
 	q[0], q[n] = q[n], q[0]
 	i := 0
@@ -180,17 +175,8 @@ func heapPopPQ(q []pqItem) (pqItem, []pqItem) {
 		q[i], q[j] = q[j], q[i]
 		i = j
 	}
-	return q[n], q[:n]
-}
-
-func (ws *Workspace) pushPQ(it pqItem) {
-	ws.q = heapPushPQ(ws.q, it)
-}
-
-func (ws *Workspace) popPQ() pqItem {
-	it, q := heapPopPQ(ws.q)
-	ws.q = q
-	return it
+	ws.q = q[:n]
+	return q[n]
 }
 
 // --- tree recycling ----------------------------------------------------

@@ -233,9 +233,10 @@ type planParams struct {
 	// single-type engine is a 400.
 	Backend *string        `json:"backend,omitempty"`
 	Library []tech.LibGate `json:"library,omitempty"`
-	// SearchKernel selects the router's wavefront implementation ("heap",
-	// "dial", "astar"; absent or empty = "heap") and SteinerMode the Stage-1
-	// construction ("pd", "costdist"; absent or empty = "pd"). MCFPhases and
+	// SearchKernel selects the pop order of the Stage-4 search ("heap",
+	// "astar"; absent, empty or the retired "dial" = "heap"; Stage 2 always
+	// runs the heap) and SteinerMode the Stage-1 construction ("pd",
+	// "costdist"; absent or empty = "pd"). MCFPhases and
 	// MCFEpsilon tune the mcf engine (0 = its defaults). All four are
 	// validated by backend.Normalize and reach the content key.
 	SearchKernel *string  `json:"search_kernel,omitempty"`

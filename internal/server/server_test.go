@@ -464,10 +464,10 @@ func TestPlanBackendBadRequests(t *testing.T) {
 	}
 }
 
-// TestPlanSearchKernelAliasing: "dial" is byte-identical to "heap" by
-// construction, so an explicit dial request is served from the heap entry
-// under the same content key; "astar" may break tree tie-breaks differently
-// and mints its own key. The steiner_mode and mcf knobs likewise reach the
+// TestPlanSearchKernelAliasing: the retired "dial" kernel runs as "heap"
+// (route.CanonicalKernel), so an explicit dial request is served from the
+// heap entry under the same content key; "astar" may break tree tie-breaks
+// differently and mints its own key. The steiner_mode and mcf knobs likewise reach the
 // key.
 func TestPlanSearchKernelAliasing(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
@@ -497,7 +497,7 @@ func TestPlanSearchKernelAliasing(t *testing.T) {
 		t.Errorf("explicit heap key %s != default key %s", k, base)
 	}
 	if k := post(`,"params":{"search_kernel":"dial"}`, "hit"); k != base {
-		t.Errorf("dial key %s != heap key %s; byte-identical kernels must alias", k, base)
+		t.Errorf("dial key %s != heap key %s; dial must alias heap", k, base)
 	}
 	if k := post(`,"params":{"search_kernel":"astar"}`, "miss"); k == base {
 		t.Error("astar shares the heap content key; its tie-breaks may differ")

@@ -22,14 +22,6 @@ type Graph struct {
 	cap []int // per-edge wire capacity W(e)
 	use []int // per-edge wire usage w(e)
 
-	// capMax is a monotone upper bound on every edge capacity: it is set at
-	// build, raised by SetCapacity, and never lowered (a stale-high bound
-	// stays a bound). The search kernels derive Eq. (1) cost bounds from it:
-	// the cheapest possible finite wire cost is 1/capMax (one wire on an
-	// empty max-capacity edge) and the costliest is capMax (the last legal
-	// wire, (w+1)/(cap-w) at w = cap-1). See CapMax.
-	capMax int
-
 	sites []int     // per-tile buffer sites B(v)
 	used  []int     // per-tile used buffer sites b(v)
 	prob  []float64 // per-tile demand p(v) from unprocessed nets
@@ -79,7 +71,6 @@ func New(w, h int, sites []int, capacity int) (*Graph, error) {
 	for i := range g.cap {
 		g.cap[i] = capacity
 	}
-	g.capMax = capacity
 	g.buildAdjacency()
 	return g, nil
 }
@@ -192,19 +183,7 @@ func (g *Graph) SetCapacity(e, c int) {
 		panic(fmt.Sprintf("tile: capacity %d must be >= 0", c))
 	}
 	g.cap[e] = c
-	if c > g.capMax {
-		g.capMax = c
-	}
 }
-
-// CapMax returns an upper bound on every edge capacity (exact unless some
-// capacity was lowered after build, in which case it is conservatively
-// high). The bound frames the finite Eq. (1) cost range — [1/CapMax, CapMax]
-// — which the Dial kernel uses to size its buckets and the A* kernel uses
-// for its admissible per-edge lower bound; a too-high bound only loosens
-// both, never breaks them. At least 1 by construction (New rejects
-// capacity < 1 and SetCapacity only raises the bound).
-func (g *Graph) CapMax() int { return g.capMax }
 
 // SetUniformCapacity sets every edge capacity to c.
 func (g *Graph) SetUniformCapacity(c int) {
@@ -383,7 +362,6 @@ func (g *Graph) Clone() *Graph {
 		W:       g.W,
 		H:       g.H,
 		cap:     append([]int(nil), g.cap...),
-		capMax:  g.capMax,
 		use:     append([]int(nil), g.use...),
 		sites:   append([]int(nil), g.sites...),
 		used:    append([]int(nil), g.used...),

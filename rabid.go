@@ -304,8 +304,9 @@ func DefaultPlanningLibrary018() []LibGate { return tech.DefaultPlanningLibrary0
 // "rabid+lib"), sorted.
 func Backends() []string { return backend.Names() }
 
-// SearchKernels returns the router wavefront-kernel names ("heap", "dial",
-// "astar") accepted by Params.SearchKernel.
+// SearchKernels returns the Stage-4 search-kernel names ("heap", "astar")
+// accepted by Params.SearchKernel. Stage 2 always runs the heap; the
+// retired name "dial" is still accepted and runs as "heap".
 func SearchKernels() []string { return route.Kernels() }
 
 // SteinerModes returns the Stage-1 construction names ("pd", "costdist")
