@@ -216,6 +216,44 @@ func TestStage2AllocBound(t *testing.T) {
 	}
 }
 
+// TestStage1AllocBound: with each worker slot's steiner.Scratch warm, a
+// stage1 call allocates a fixed count per net — the output tree (the Tree
+// and its Tile, Parent and SinkNode arrays) and its child adjacency, which
+// the delay refresh builds — plus a constant for the two tile graphs, the
+// fan-outs and the calibration, at any net count. The map-based Stage 1
+// made about 88 allocations per net. With two workers, which slot serves
+// which net varies, so only the bound is held there.
+func TestStage1AllocBound(t *testing.T) {
+	const perNet, constant = 5, 64
+	for _, workers := range []int{1, 2} {
+		var counts [2]float64
+		nets := [2]int{40, 120}
+		for k, n := range nets {
+			p := DefaultParams()
+			p.Workers = workers
+			s := newTestState(t, smallCircuit(t, 28, n, 16, 16, 2, 4), p)
+			stage1 := func() {
+				if err := s.stage1(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for w := 0; w < 20; w++ {
+				stage1()
+			}
+			counts[k] = testing.AllocsPerRun(10, stage1)
+			if bound := float64(perNet*n + constant); counts[k] > bound {
+				t.Errorf("workers=%d: %v allocs per stage1 call at %d nets, want <= %v", workers, counts[k], n, bound)
+			}
+		}
+		per := (counts[1] - counts[0]) / float64(nets[1]-nets[0])
+		t.Logf("workers=%d: %v and %v allocs per stage1 call at %d and %d nets: %v per net, %v constant",
+			workers, counts[0], counts[1], nets[0], nets[1], per, counts[0]-per*float64(nets[0]))
+		if workers == 1 && per != perNet {
+			t.Errorf("workers=1: %v allocs per net, want %d", per, perNet)
+		}
+	}
+}
+
 // TestWorkersDeterminismCore proves the tentpole guarantee at the core
 // level: every Workers value yields bit-identical stage statistics, routes,
 // and buffer assignments.

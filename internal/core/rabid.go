@@ -236,10 +236,12 @@ type siteCheck struct {
 	want                []int32
 }
 
-// evalSlot is one worker slot's delay-evaluation memory.
+// evalSlot is one worker slot's memory: the Stage-1 construction's, and
+// the delay evaluation's.
 type evalSlot struct {
-	sc    delay.Scratch
-	gates []tech.Gate
+	steiner steiner.Scratch
+	sc      delay.Scratch
+	gates   []tech.Gate
 }
 
 // Run executes the full RABID pipeline on the circuit.
@@ -440,19 +442,21 @@ func (s *state) emitStage(ss StageStats) {
 
 // stage1 builds the initial Steiner routes and the calibrated tile graph.
 // Route construction is pure per-net work and fans out over the worker
-// pool; the capacity calibration and usage registration that follow mutate
-// the shared graph and stay sequential.
+// pool, each slot on its own steiner.Scratch; the output trees are fresh,
+// so no slot memory reaches a result. The capacity calibration and usage
+// registration that follow mutate the shared graph and stay sequential.
 func (s *state) stage1() error {
 	bufs := obs.NewIndexBuffers(s.obs, len(s.c.Nets))
 	costdist := s.p.SteinerMode == SteinerCostDist
-	if err := par.ForEachCtx(s.ctx, s.p.Workers, len(s.c.Nets), func(i int) error {
+	slots := s.evalSlots(len(s.c.Nets))
+	if err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.c.Nets), func(w, i int) error {
 		t0 := bufs.Now()
 		var rt *rtree.Tree
 		var err error
 		if costdist {
-			rt, err = steiner.InitialRouteCostDistance(s.c.Nets[i])
+			rt, err = slots[w].steiner.InitialRouteCostDistance(s.c.Nets[i])
 		} else {
-			rt, err = steiner.InitialRoute(s.c.Nets[i], s.p.Alpha)
+			rt, err = slots[w].steiner.InitialRoute(s.c.Nets[i], s.p.Alpha)
 		}
 		if err != nil {
 			return err

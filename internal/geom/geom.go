@@ -109,3 +109,12 @@ func Clamp(v, lo, hi int) int {
 	}
 	return v
 }
+
+// Bounds returns the smallest box lo..hi (inclusive) holding the box lo..hi
+// and every point of pts.
+func Bounds(lo, hi Pt, pts []Pt) (Pt, Pt) {
+	for _, p := range pts {
+		lo, hi = Pt{min(lo.X, p.X), min(lo.Y, p.Y)}, Pt{max(hi.X, p.X), max(hi.Y, p.Y)}
+	}
+	return lo, hi
+}

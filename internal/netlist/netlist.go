@@ -5,10 +5,12 @@
 package netlist
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -52,19 +54,6 @@ type Net struct {
 
 // NumPins returns the total terminal count (source + sinks).
 func (n *Net) NumPins() int { return 1 + len(n.Sinks) }
-
-// Tiles returns the distinct tiles occupied by the net's pins, source first.
-func (n *Net) Tiles() []geom.Pt {
-	seen := map[geom.Pt]bool{n.Source.Tile: true}
-	out := []geom.Pt{n.Source.Tile}
-	for _, s := range n.Sinks {
-		if !seen[s.Tile] {
-			seen[s.Tile] = true
-			out = append(out, s.Tile)
-		}
-	}
-	return out
-}
 
 // Circuit is a complete planning instance: the tiling of the chip, the
 // global nets, the per-tile buffer-site counts, and (for baselines and
@@ -165,12 +154,24 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("netlist: %s: tile %d has negative buffer sites %d", c.Name, i, b)
 		}
 	}
-	ids := make(map[int]bool, len(c.Nets))
-	for _, n := range c.Nets {
-		if ids[n.ID] {
+	// A net is a duplicate when an earlier net has its ID. A stable sort of
+	// the net indices by ID finds the first one in one allocation, where a
+	// set of IDs would grow with the net count.
+	byID := make([]int, len(c.Nets))
+	for i := range byID {
+		byID[i] = i
+	}
+	slices.SortStableFunc(byID, func(a, b int) int { return cmp.Compare(c.Nets[a].ID, c.Nets[b].ID) })
+	dup := len(c.Nets)
+	for k := 1; k < len(byID); k++ {
+		if c.Nets[byID[k]].ID == c.Nets[byID[k-1]].ID {
+			dup = min(dup, byID[k])
+		}
+	}
+	for i, n := range c.Nets {
+		if i == dup {
 			return fmt.Errorf("netlist: %s: duplicate net id %d", c.Name, n.ID)
 		}
-		ids[n.ID] = true
 		if len(n.Sinks) == 0 {
 			return fmt.Errorf("netlist: %s: net %d has no sinks", c.Name, n.ID)
 		}
@@ -181,21 +182,33 @@ func (c *Circuit) Validate() error {
 		if n.L < 1 {
 			return fmt.Errorf("netlist: %s: net %d has length constraint %d < 1", c.Name, n.ID, n.L)
 		}
-		for _, p := range append([]Pin{n.Source}, n.Sinks...) {
-			// Finiteness must be checked before TileOf: int(NaN) and
-			// int(±Inf) are not meaningful tile coordinates.
-			if !finitePt(p.Pos) {
-				return fmt.Errorf("netlist: %s: net %d pin position (%g, %g) is not finite",
-					c.Name, n.ID, p.Pos.X, p.Pos.Y)
-			}
-			if !c.InGrid(p.Tile) {
-				return fmt.Errorf("netlist: %s: net %d pin tile %v outside grid", c.Name, n.ID, p.Tile)
-			}
-			if got := c.TileOf(p.Pos); got != p.Tile {
-				return fmt.Errorf("netlist: %s: net %d pin at %v maps to tile %v, recorded %v",
-					c.Name, n.ID, p.Pos, got, p.Tile)
+		if err := c.validatePin(n, n.Source); err != nil {
+			return err
+		}
+		for _, p := range n.Sinks {
+			if err := c.validatePin(n, p); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// validatePin checks one of net n's pins: a finite position inside the
+// grid, in the tile the pin records.
+func (c *Circuit) validatePin(n *Net, p Pin) error {
+	// Finiteness must be checked before TileOf: int(NaN) and int(±Inf) are
+	// not meaningful tile coordinates.
+	if !finitePt(p.Pos) {
+		return fmt.Errorf("netlist: %s: net %d pin position (%g, %g) is not finite",
+			c.Name, n.ID, p.Pos.X, p.Pos.Y)
+	}
+	if !c.InGrid(p.Tile) {
+		return fmt.Errorf("netlist: %s: net %d pin tile %v outside grid", c.Name, n.ID, p.Tile)
+	}
+	if got := c.TileOf(p.Pos); got != p.Tile {
+		return fmt.Errorf("netlist: %s: net %d pin at %v maps to tile %v, recorded %v",
+			c.Name, n.ID, p.Pos, got, p.Tile)
 	}
 	return nil
 }

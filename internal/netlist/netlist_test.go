@@ -39,6 +39,33 @@ func TestValidateOK(t *testing.T) {
 	}
 }
 
+// TestValidateAllocBound: Validate checks every pin in place, so its
+// allocations do not grow with the net count — the pin list it used to
+// build per net made about one allocation per net on every plan and parse.
+func TestValidateAllocBound(t *testing.T) {
+	circuit := func(nets int) *Circuit {
+		c := small()
+		proto := c.Nets[1]
+		c.Nets = nil
+		for i := 0; i < nets; i++ {
+			n := *proto
+			n.ID = i
+			c.Nets = append(c.Nets, &n)
+		}
+		return c
+	}
+	allocs := func(c *Circuit) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(circuit(10)), allocs(circuit(1000)); few != many {
+		t.Fatalf("Validate: %v allocs at 10 nets, %v at 1000, want the same", few, many)
+	}
+}
+
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -131,19 +158,6 @@ func TestCounts(t *testing.T) {
 	}
 	if c.Nets[1].NumPins() != 3 {
 		t.Errorf("NumPins = %d", c.Nets[1].NumPins())
-	}
-}
-
-func TestNetTilesDedup(t *testing.T) {
-	c := small()
-	n := c.Nets[1]
-	n.Sinks = append(n.Sinks, n.Sinks[0]) // duplicate tile
-	tiles := n.Tiles()
-	if len(tiles) != 3 {
-		t.Errorf("Tiles() = %v, want 3 distinct", tiles)
-	}
-	if tiles[0] != n.Source.Tile {
-		t.Error("source tile must come first")
 	}
 }
 

@@ -42,13 +42,10 @@ type Workspace struct {
 
 	wantStamp []uint64 // stamp == epoch marks a sink tile not yet reached
 
-	// Traceback state (replaces the map[geom.Pt]geom.Pt parent map).
-	pstamp  []uint64 // stamp for parent
-	parent  []int32  // per-tile parent on some sink-to-source path
-	touched []int32  // tiles entered into parent this call
-	nstamp  []uint64 // stamp for nodeIdx
-	nodeIdx []int32  // tile -> tree node index during tree assembly
-	stack   []int32  // pending chain in the iterative parent-first insert
+	// Traceback state: the tree builder, framed on the grid so that a
+	// cell is a tile index, and the net's sink tiles.
+	tb    rtree.Builder
+	sinks []geom.Pt
 
 	// Per-call memoized edge costs (Reroute and BufferAwarePath evaluate
 	// each edge many times; usage and Options.Weight are static within one
@@ -73,7 +70,6 @@ type Workspace struct {
 
 	blocked []bool    // Stage-4 blocked-tile mask, managed by the caller
 	heat    []float64 // per-pass congestion snapshot buffer
-	nodeCnt []int32   // per-node child counts for the needs-prune check
 
 	// Dead route trees donated by RipupPass (see Recycle); their storage
 	// backs the next Reroute's tree, making the steady state alloc-free.
@@ -107,10 +103,6 @@ func (ws *Workspace) growTiles(n int) {
 	ws.pred = make([]int32, n)
 	ws.done = make([]bool, n)
 	ws.wantStamp = make([]uint64, n)
-	ws.pstamp = make([]uint64, n)
-	ws.parent = make([]int32, n)
-	ws.nstamp = make([]uint64, n)
-	ws.nodeIdx = make([]int32, n)
 }
 
 // growStates sizes the (tile, j) arrays of the Stage-4 search.

@@ -305,7 +305,8 @@ func TestSingleTileTree(t *testing.T) {
 // TestRecycledTreeTraversals: a tree whose adjacency was built, then Reset
 // and refilled with another shape (a recycled carcass), traverses exactly
 // like a freshly built tree of that shape, and the Into forms match their
-// allocating counterparts on a dirty buffer.
+// allocating counterparts on a dirty buffer. A fresh tree's traversal pays
+// exactly one allocation, for its child adjacency; a recycled tree's none.
 func TestRecycledTreeTraversals(t *testing.T) {
 	var post []int
 	var ps TwoPathSet
@@ -346,5 +347,31 @@ func TestRecycledTreeTraversals(t *testing.T) {
 				t.Fatalf("seed %d: two-paths %v and %v out of order", seed, q, p)
 			}
 		}
+	}
+	pm, sinks := randomTreeMap(rand.New(rand.NewSource(99)), 60)
+	shape, err := FromParentMap(geom.Pt{}, pm, sinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post = make([]int, 0, shape.NumNodes())
+	copies := make([]*Tree, 11) // AllocsPerRun's warm-up call, then 10
+	for k := range copies {
+		copies[k] = &Tree{Tile: shape.Tile, Parent: shape.Parent, SinkNode: shape.SinkNode}
+	}
+	k := 0
+	if avg := testing.AllocsPerRun(10, func() {
+		post = copies[k].PostOrderInto(post)
+		k++
+	}); avg != 1 {
+		t.Errorf("PostOrderInto on a fresh tree: %v allocs, want 1", avg)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		carcass.Reset()
+		carcass.Tile = append(carcass.Tile, shape.Tile...)
+		carcass.Parent = append(carcass.Parent, shape.Parent...)
+		carcass.SinkNode = append(carcass.SinkNode, shape.SinkNode...)
+		post = carcass.PostOrderInto(post)
+	}); avg != 0 {
+		t.Errorf("PostOrderInto on a recycled tree: %v allocs, want 0", avg)
 	}
 }

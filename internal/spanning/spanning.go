@@ -9,9 +9,18 @@ package spanning
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
+
+// Scratch is the reusable memory of Tree and CostDistanceTree. The zero
+// value is ready to use; one Scratch serves one goroutine at a time.
+type Scratch struct {
+	parent, best []int     // tree parent, best attachment parent
+	pathlen, key []float64 // tree path length from source, best attachment cost
+	inTree       []bool
+}
 
 // Tree computes the Prim–Dijkstra tradeoff tree over the given terminals in
 // the Manhattan metric. pts[0] is the source. It returns parent[i] = the
@@ -25,56 +34,19 @@ import (
 // the source to u. The implementation is the O(n^2) label-update form, which
 // is appropriate for global nets (tens of pins).
 func Tree(pts []geom.Pt, alpha float64) ([]int, error) {
-	n := len(pts)
-	if n == 0 {
+	return new(Scratch).Tree(pts, alpha)
+}
+
+// Tree is the package-level Tree on sc's memory: the returned parent array
+// aliases sc and is valid until sc's next use.
+func (sc *Scratch) Tree(pts []geom.Pt, alpha float64) ([]int, error) {
+	if len(pts) == 0 {
 		return nil, fmt.Errorf("spanning: no terminals")
 	}
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("spanning: alpha %v outside [0,1]", alpha)
 	}
-	parent := make([]int, n)
-	pathlen := make([]float64, n) // tree path length from source
-	key := make([]float64, n)     // best attachment cost
-	best := make([]int, n)        // best attachment parent
-	inTree := make([]bool, n)
-
-	for i := range key {
-		key[i] = math.Inf(1)
-		parent[i] = -1
-		best[i] = -1
-	}
-	// Seed with the source.
-	inTree[0] = true
-	for v := 1; v < n; v++ {
-		d := float64(pts[0].Manhattan(pts[v]))
-		key[v] = alpha*0 + d
-		best[v] = 0
-	}
-	for added := 1; added < n; added++ {
-		// Pick the cheapest non-tree node.
-		pick := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && (pick == -1 || key[v] < key[pick]) {
-				pick = v
-			}
-		}
-		u := best[pick]
-		parent[pick] = u
-		pathlen[pick] = pathlen[u] + float64(pts[u].Manhattan(pts[pick]))
-		inTree[pick] = true
-		// Relax remaining nodes through the new tree node.
-		for v := 0; v < n; v++ {
-			if inTree[v] {
-				continue
-			}
-			c := alpha*pathlen[pick] + float64(pts[pick].Manhattan(pts[v]))
-			if c < key[v] {
-				key[v] = c
-				best[v] = pick
-			}
-		}
-	}
-	return parent, nil
+	return sc.grow(pts, false, alpha), nil
 }
 
 // CostDistanceTree computes a cost-distance tradeoff tree over the given
@@ -100,31 +72,51 @@ func Tree(pts []geom.Pt, alpha float64) ([]int, error) {
 // comparisons keep the earliest minimum), so the construction is
 // reproducible for cache keys and golden fixtures.
 func CostDistanceTree(pts []geom.Pt, w float64) ([]int, error) {
-	n := len(pts)
-	if n == 0 {
+	return new(Scratch).CostDistanceTree(pts, w)
+}
+
+// CostDistanceTree is the package-level CostDistanceTree on sc's memory:
+// the returned parent array aliases sc and is valid until sc's next use.
+func (sc *Scratch) CostDistanceTree(pts []geom.Pt, w float64) ([]int, error) {
+	if len(pts) == 0 {
 		return nil, fmt.Errorf("spanning: no terminals")
 	}
 	if w < 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 		return nil, fmt.Errorf("spanning: cost-distance weight %v outside [0, +inf)", w)
 	}
-	parent := make([]int, n)
-	pathlen := make([]float64, n) // tree path length from source
-	key := make([]float64, n)     // best attachment cost
-	best := make([]int, n)        // best attachment parent
-	inTree := make([]bool, n)
+	return sc.grow(pts, true, w), nil
+}
 
+// grow is the greedy construction both trees share. A node v reached from
+// tree node u at distance d costs a*pathlen(u) + d (Prim–Dijkstra), or
+// d + a*(pathlen(u)+d) under costdist; the source's seeds take pathlen 0.
+func (sc *Scratch) grow(pts []geom.Pt, costdist bool, a float64) []int {
+	n := len(pts)
+	cost := func(pl, d float64) float64 {
+		if costdist {
+			return d + a*(pl+d)
+		}
+		return a*pl + d
+	}
+	sc.parent, sc.best = slices.Grow(sc.parent[:0], n)[:n], slices.Grow(sc.best[:0], n)[:n]
+	sc.pathlen, sc.key = slices.Grow(sc.pathlen[:0], n)[:n], slices.Grow(sc.key[:0], n)[:n]
+	sc.inTree = slices.Grow(sc.inTree[:0], n)[:n]
+	parent, best, pathlen, key, inTree := sc.parent, sc.best, sc.pathlen, sc.key, sc.inTree
 	for i := range key {
 		key[i] = math.Inf(1)
 		parent[i] = -1
 		best[i] = -1
+		pathlen[i] = 0
+		inTree[i] = false
 	}
+	// Seed with the source.
 	inTree[0] = true
 	for v := 1; v < n; v++ {
-		d := float64(pts[0].Manhattan(pts[v]))
-		key[v] = d + w*d
+		key[v] = cost(0, float64(pts[0].Manhattan(pts[v])))
 		best[v] = 0
 	}
 	for added := 1; added < n; added++ {
+		// Pick the cheapest non-tree node.
 		pick := -1
 		for v := 0; v < n; v++ {
 			if !inTree[v] && (pick == -1 || key[v] < key[pick]) {
@@ -135,18 +127,18 @@ func CostDistanceTree(pts []geom.Pt, w float64) ([]int, error) {
 		parent[pick] = u
 		pathlen[pick] = pathlen[u] + float64(pts[u].Manhattan(pts[pick]))
 		inTree[pick] = true
+		// Relax remaining nodes through the new tree node.
 		for v := 0; v < n; v++ {
 			if inTree[v] {
 				continue
 			}
-			d := float64(pts[pick].Manhattan(pts[v]))
-			if c := d + w*(pathlen[pick]+d); c < key[v] {
+			if c := cost(pathlen[pick], float64(pts[pick].Manhattan(pts[v]))); c < key[v] {
 				key[v] = c
 				best[v] = pick
 			}
 		}
 	}
-	return parent, nil
+	return parent
 }
 
 // Wirelength returns the total Manhattan length of the tree edges.

@@ -4,7 +4,9 @@
 package steiner
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -49,41 +51,63 @@ func steinerPoint(u, a, b geom.Pt) geom.Pt {
 	return geom.Pt{X: median3(u.X, a.X, b.X), Y: median3(u.Y, a.Y, b.Y)}
 }
 
+// Scratch is the reusable working memory of one net's Stage-1
+// construction: the pin-tile dedupe, the spanning skeleton's arrays, the
+// overlap removal's points, edges and incident-edge index, the embedding's
+// breadth-first walk and the tree builder. With a warmed Scratch, a net's
+// construction allocates only its output tree. The zero value is ready to
+// use; one Scratch serves one goroutine at a time.
+type Scratch struct {
+	b        rtree.Builder
+	span     spanning.Scratch
+	st       Tree      // the Steiner tree under construction
+	off, inc []int     // the edges at node v are inc[off[v]:off[v+1]], in edge order
+	queue    []int     // the embedding's breadth-first queue
+	visited  []bool    // per Steiner node: reached by the embedding
+	sinks    []geom.Pt // the net's sink tiles, in sink order
+}
+
 // RemoveOverlaps greedily removes wirelength overlap from a spanning tree
 // (Fig. 4): it repeatedly finds the pair of tree edges sharing an endpoint
 // with the largest positive overlap, replaces them with three edges through
 // the triple's median point, and stops when no pair improves. parent is the
 // spanning-tree parent array over pts (parent[0] = -1).
 func RemoveOverlaps(pts []geom.Pt, parent []int) *Tree {
-	t := &Tree{
-		Pts:          append([]geom.Pt(nil), pts...),
-		NumTerminals: len(pts),
-	}
+	sc := &Scratch{}
+	sc.st.Pts = append(sc.st.Pts, pts...)
+	sc.removeOverlaps(parent)
+	return &sc.st
+}
+
+// removeOverlaps is RemoveOverlaps over sc.st, whose Pts hold the
+// terminals.
+func (sc *Scratch) removeOverlaps(parent []int) {
+	t := &sc.st
+	t.NumTerminals = len(t.Pts)
+	t.Edges = t.Edges[:0]
 	for v, p := range parent {
 		if p >= 0 {
 			t.Edges = append(t.Edges, [2]int{p, v})
 		}
 	}
 	for {
-		gain, e1, e2, u, s := t.bestOverlap()
+		gain, e1, e2, u, s := sc.bestOverlap()
 		if gain <= 0 {
-			return t
+			return
 		}
 		t.apply(e1, e2, u, s)
 	}
 }
 
-// bestOverlap scans all edge pairs sharing an endpoint and returns the best
+// bestOverlap scans all edge pairs sharing an endpoint — nodes in index
+// order, each node's edges in edge order — and returns the first largest
 // gain with the chosen edges, shared node, and Steiner point.
-func (t *Tree) bestOverlap() (gain, e1, e2, u int, s geom.Pt) {
-	// adjacency: node -> incident edge indices
-	adj := make([][]int, len(t.Pts))
-	for i, e := range t.Edges {
-		adj[e[0]] = append(adj[e[0]], i)
-		adj[e[1]] = append(adj[e[1]], i)
-	}
+func (sc *Scratch) bestOverlap() (gain, e1, e2, u int, s geom.Pt) {
+	t := &sc.st
+	sc.index()
 	gain, e1, e2, u = 0, -1, -1, -1
-	for node, inc := range adj {
+	for node := range t.Pts {
+		inc := sc.inc[sc.off[node]:sc.off[node+1]]
 		for i := 0; i < len(inc); i++ {
 			for j := i + 1; j < len(inc); j++ {
 				a := t.other(inc[i], node)
@@ -98,6 +122,33 @@ func (t *Tree) bestOverlap() (gain, e1, e2, u int, s geom.Pt) {
 		}
 	}
 	return gain, e1, e2, u, s
+}
+
+// index rebuilds the incident-edge index of sc.st by a counting sort over
+// the edges, which lands each node's edges in edge order.
+func (sc *Scratch) index() {
+	t := &sc.st
+	n := len(t.Pts)
+	sc.off = slices.Grow(sc.off[:0], n+1)[:n+1]
+	clear(sc.off)
+	for _, e := range t.Edges {
+		sc.off[e[0]+1]++
+		sc.off[e[1]+1]++
+	}
+	for v := 0; v < n; v++ {
+		sc.off[v+1] += sc.off[v]
+	}
+	sc.inc = slices.Grow(sc.inc[:0], sc.off[n])[:sc.off[n]]
+	// Fill with off[v] as a cursor, then shift the cursors back: afterwards
+	// off[v] is again the start of v's run.
+	for i, e := range t.Edges {
+		for _, v := range e {
+			sc.inc[sc.off[v]] = i
+			sc.off[v]++
+		}
+	}
+	copy(sc.off[1:], sc.off[:n])
+	sc.off[0] = 0
 }
 
 // other returns the endpoint of edge e that is not node.
@@ -137,116 +188,100 @@ func (t *Tree) apply(e1, e2, u int, s geom.Pt) {
 	}
 }
 
-// LPath returns the tiles of an L-shaped route from a to b (inclusive). The
-// bend orientation is chosen deterministically from the endpoint parity so
-// that Stage-1 embeddings spread over both orientations.
-func LPath(a, b geom.Pt) []geom.Pt {
-	horizFirst := (a.X+a.Y+b.X+b.Y)%2 == 0
-	path := []geom.Pt{a}
-	cur := a
-	step := func(dx, dy int) {
-		cur = cur.Add(geom.Pt{X: dx, Y: dy})
-		path = append(path, cur)
-	}
-	walkX := func() {
-		for cur.X != b.X {
-			if b.X > cur.X {
-				step(1, 0)
-			} else {
-				step(-1, 0)
-			}
-		}
-	}
-	walkY := func() {
-		for cur.Y != b.Y {
-			if b.Y > cur.Y {
-				step(0, 1)
-			} else {
-				step(0, -1)
-			}
-		}
-	}
-	if horizFirst {
-		walkX()
-		walkY()
+// horizFirst reports whether the L-shaped route from a to b runs its
+// horizontal leg first. The bend orientation is chosen from the endpoint
+// parity so that Stage-1 embeddings spread over both orientations.
+func horizFirst(a, b geom.Pt) bool { return (a.X+a.Y+b.X+b.Y)%2 == 0 }
+
+// lNext returns the tile after cur on the L-shaped route toward b: along
+// the first leg's axis until aligned with b, then along the other.
+func lNext(cur, b geom.Pt, hFirst bool) geom.Pt {
+	if hFirst && cur.X != b.X || cur.Y == b.Y {
+		cur.X += cmp.Compare(b.X, cur.X)
 	} else {
-		walkY()
-		walkX()
+		cur.Y += cmp.Compare(b.Y, cur.Y)
+	}
+	return cur
+}
+
+// LPath returns the tiles of an L-shaped route from a to b (inclusive).
+func LPath(a, b geom.Pt) []geom.Pt {
+	path := []geom.Pt{a}
+	for cur, h := a, horizFirst(a, b); cur != b; {
+		cur = lNext(cur, b, h)
+		path = append(path, cur)
 	}
 	return path
 }
 
-// Embed lays the Steiner tree onto the tile grid: every tree edge becomes an
-// L-shaped tile path, paths are grafted into a single routed tree (crossing
-// an already-routed tile reconnects there), and sinkless stubs are pruned.
-// Terminal 0 is the source. sinkTiles lists the tiles of the net's sinks.
-func Embed(t *Tree, sinkTiles []geom.Pt) (*rtree.Tree, error) {
-	if t.NumTerminals == 0 {
-		return nil, fmt.Errorf("steiner: no terminals")
-	}
+// embed lays sc.st onto the tile grid: every tree edge becomes an L-shaped
+// tile path, paths are grafted into a single routed tree (crossing an
+// already-routed tile reconnects there), and sinkless stubs are pruned.
+// Terminal 0 is the source. The edges are walked breadth-first from it, so
+// each edge's upstream end is already embedded, tile by tile into the
+// builder: a tile keeps the parent of its first visit, and the source
+// never takes one. The net's sink tiles are sc.sinks.
+func (sc *Scratch) embed() (*rtree.Tree, error) {
+	t, b := &sc.st, &sc.b
 	source := t.Pts[0]
-	adj := make([][]int, len(t.Pts))
-	for _, e := range t.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+	if err := b.Frame(geom.Bounds(source, source, t.Pts)); err != nil {
+		return nil, err
 	}
-	parent := map[geom.Pt]geom.Pt{}
-	inTree := func(p geom.Pt) bool {
-		if p == source {
-			return true
-		}
-		_, ok := parent[p]
-		return ok
-	}
-	// BFS over Steiner nodes from the source so each edge's upstream end is
-	// already embedded when we route it.
-	visited := make([]bool, len(t.Pts))
+	root := b.Cell(source)
+	sc.index()
+	visited := slices.Grow(sc.visited[:0], len(t.Pts))[:len(t.Pts)]
+	clear(visited)
 	visited[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, m := range adj[n] {
+	queue := append(sc.queue[:0], 0)
+	for k := 0; k < len(queue); k++ {
+		n := queue[k]
+		for _, e := range sc.inc[sc.off[n]:sc.off[n+1]] {
+			m := t.other(e, n)
 			if visited[m] {
 				continue
 			}
 			visited[m] = true
 			queue = append(queue, m)
-			path := LPath(t.Pts[n], t.Pts[m])
-			if !inTree(path[0]) {
-				return nil, fmt.Errorf("steiner: embedding anchor %v not in tree", path[0])
+			a, z := t.Pts[n], t.Pts[m]
+			prev := b.Cell(a)
+			if prev != root && !b.Has(prev) {
+				return nil, fmt.Errorf("steiner: embedding anchor %v not in tree", a)
 			}
-			prev := path[0]
-			for _, tl := range path[1:] {
-				if !inTree(tl) {
-					parent[tl] = prev
+			for cur, h := a, horizFirst(a, z); cur != z; {
+				cur = lNext(cur, z, h)
+				c := b.Cell(cur)
+				if c != root && !b.Has(c) {
+					b.Set(c, prev)
 				}
-				prev = tl
+				prev = c
 			}
 		}
 	}
+	sc.queue, sc.visited = queue, visited
 	for n, ok := range visited {
 		if !ok {
 			return nil, fmt.Errorf("steiner: node %d (%v) disconnected", n, t.Pts[n])
 		}
 	}
-	rt, err := rtree.FromParentMap(source, parent, sinkTiles)
-	if err != nil {
+	rt := &rtree.Tree{}
+	if err := b.Build(rt, source, sc.sinks); err != nil {
 		return nil, err
 	}
-	return rt.Prune(), nil
+	return rt, nil
 }
 
 // InitialRoute runs the complete Stage-1 construction for one net: the
 // Prim–Dijkstra tradeoff tree over the net's distinct pin tiles, greedy
 // overlap removal, and tile embedding.
-func InitialRoute(n *netlist.Net, alpha float64) (*rtree.Tree, error) {
-	tiles := n.Tiles()
-	par, err := spanning.Tree(tiles, alpha)
+func (sc *Scratch) InitialRoute(n *netlist.Net, alpha float64) (*rtree.Tree, error) {
+	if err := sc.pins(n); err != nil {
+		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
+	}
+	par, err := sc.span.Tree(sc.st.Pts, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
 	}
-	return finishRoute(n, tiles, par)
+	return sc.finish(n, par)
 }
 
 // InitialRouteCostDistance is the cost-distance alternative to InitialRoute
@@ -255,27 +290,49 @@ func InitialRoute(n *netlist.Net, alpha float64) (*rtree.Tree, error) {
 // delay-critical nets (small length constraints) lean toward shortest
 // source paths while relaxed nets approach the MST. Overlap removal and
 // embedding are shared with the Prim–Dijkstra path.
-func InitialRouteCostDistance(n *netlist.Net) (*rtree.Tree, error) {
-	tiles := n.Tiles()
+func (sc *Scratch) InitialRouteCostDistance(n *netlist.Net) (*rtree.Tree, error) {
 	if n.L < 1 {
 		return nil, fmt.Errorf("steiner: net %d: length constraint %d < 1", n.ID, n.L)
 	}
-	par, err := spanning.CostDistanceTree(tiles, 1/float64(n.L))
+	if err := sc.pins(n); err != nil {
+		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
+	}
+	par, err := sc.span.CostDistanceTree(sc.st.Pts, 1/float64(n.L))
 	if err != nil {
 		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
 	}
-	return finishRoute(n, tiles, par)
+	return sc.finish(n, par)
 }
 
-// finishRoute is the shared tail of the Stage-1 constructions: greedy
-// overlap removal over the spanning skeleton, then tile embedding.
-func finishRoute(n *netlist.Net, tiles []geom.Pt, par []int) (*rtree.Tree, error) {
-	st := RemoveOverlaps(tiles, par)
-	sinks := make([]geom.Pt, len(n.Sinks))
-	for i, s := range n.Sinks {
-		sinks[i] = s.Tile
+// pins writes the net's sink tiles, in sink order, into sc.sinks and its
+// distinct pin tiles into sc.st.Pts: the source, then the sinks in
+// first-occurrence order. A tile counts as seen once it holds an entry of
+// a builder frame over the pins' box, so the dedupe is O(sinks).
+func (sc *Scratch) pins(n *netlist.Net) error {
+	sc.sinks = sc.sinks[:0]
+	for _, s := range n.Sinks {
+		sc.sinks = append(sc.sinks, s.Tile)
 	}
-	rt, err := Embed(st, sinks)
+	src := n.Source.Tile
+	if err := sc.b.Frame(geom.Bounds(src, src, sc.sinks)); err != nil {
+		return err
+	}
+	sc.st.Pts = append(sc.st.Pts[:0], src)
+	sc.b.Set(sc.b.Cell(src), 0)
+	for _, p := range sc.sinks {
+		if c := sc.b.Cell(p); !sc.b.Has(c) {
+			sc.b.Set(c, 0)
+			sc.st.Pts = append(sc.st.Pts, p)
+		}
+	}
+	return nil
+}
+
+// finish is the shared tail of the Stage-1 constructions: greedy overlap
+// removal over the spanning skeleton, then tile embedding.
+func (sc *Scratch) finish(n *netlist.Net, parent []int) (*rtree.Tree, error) {
+	sc.removeOverlaps(parent)
+	rt, err := sc.embed()
 	if err != nil {
 		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
 	}

@@ -184,7 +184,7 @@ func mkNet(id int, src geom.Pt, sinks ...geom.Pt) *netlist.Net {
 
 func TestInitialRouteSimple(t *testing.T) {
 	n := mkNet(0, geom.Pt{X: 0, Y: 0}, geom.Pt{X: 5, Y: 3}, geom.Pt{X: 2, Y: 4})
-	rt, err := InitialRoute(n, 0.4)
+	rt, err := new(Scratch).InitialRoute(n, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestInitialRouteSimple(t *testing.T) {
 func TestInitialRouteCoincidentPins(t *testing.T) {
 	// Source and sink in the same tile.
 	n := mkNet(0, geom.Pt{X: 1, Y: 1}, geom.Pt{X: 1, Y: 1})
-	rt, err := InitialRoute(n, 0.4)
+	rt, err := new(Scratch).InitialRoute(n, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestInitialRouteProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		pts := randomDistinctPts(r, 2+r.Intn(8))
 		n := mkNet(0, pts[0], pts[1:]...)
-		rt, err := InitialRoute(n, 0.4)
+		rt, err := new(Scratch).InitialRoute(n, 0.4)
 		if err != nil {
 			return false
 		}
