@@ -9,6 +9,10 @@
 // Params.Workers never changes results) — the cached bytes ARE the bytes a
 // fresh run would produce, which the service tests prove byte-for-byte.
 //
+// Beside the keyed entries sits a bounded alias table from the Digest of a
+// request body to the key that body resolved to, so that a byte-identical
+// re-request is answered (Recall) without parsing it again.
+//
 // Hit, miss, coalesced-request, and eviction counts are emitted through
 // the standard observer tap ("cache.hit", "cache.miss", "cache.coalesced",
 // "cache.evict" counters and the "cache.entries" gauge), so /v1/metricz
@@ -150,6 +154,24 @@ func hash(material any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// Digest identifies a request by its bytes: the SHA-256 of its endpoint
+// path, a 0 byte and its body (see BodyDigest).
+type Digest [sha256.Size]byte
+
+// BodyDigest returns the Digest of a request body sent to endpoint. The
+// endpoint is part of the digest because one body can mean different
+// requests on different endpoints: {"circuit": X} is a valid plan request,
+// but on /v1/bbp it asks for capacity 0, which is a client error.
+func BodyDigest(endpoint string, body []byte) Digest {
+	h := sha256.New()
+	h.Write([]byte(endpoint))
+	h.Write([]byte{0})
+	h.Write(body)
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
+
 // entry is one resident cache line.
 type entry struct {
 	key string
@@ -175,6 +197,13 @@ type Cache struct {
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 	inFlt map[string]*flight
+
+	// aliases maps a remembered request digest to its key. It holds at most
+	// max digests; aliasFIFO lists them in the order they were remembered,
+	// as a ring whose oldest slot is aliasNext once it is full.
+	aliases   map[Digest]string
+	aliasFIFO []Digest
+	aliasNext int
 }
 
 // New returns a cache retaining at most maxEntries results (LRU eviction).
@@ -191,6 +220,8 @@ func New(maxEntries int, o obs.Observer) *Cache {
 		ll:    list.New(),
 		items: map[string]*list.Element{},
 		inFlt: map[string]*flight{},
+
+		aliases: map[Digest]string{},
 	}
 }
 
@@ -267,6 +298,48 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.val, false, fl.err
+}
+
+// Recall answers a request by its digest alone: it returns the key and
+// bytes the digest was remembered under, provided that key is still
+// resident. A recall refreshes the entry's LRU slot and counts cache.hit,
+// as a hit in Do does. An unknown digest, or one whose key was evicted, is
+// not a recall; the caller then takes the full path, and a Remember after
+// it records the digest again.
+func (c *Cache) Recall(d Digest) (key string, val []byte, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if key, ok = c.aliases[d]; !ok {
+		return "", nil, false
+	}
+	if val, ok = c.lookup(key); !ok {
+		return "", nil, false
+	}
+	c.count("cache.hit")
+	return key, val, true
+}
+
+// Remember records that the request with digest d resolved to key. Call it
+// only once Do has returned key's bytes without error: an alias must never
+// stand for a request that failed. The table holds at most as many
+// digests as the cache holds entries, and replaces the oldest first; a
+// cache that retains nothing remembers nothing.
+func (c *Cache) Remember(d Digest, key string) {
+	if c.max == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.aliases[d]; !ok {
+		if len(c.aliasFIFO) < c.max {
+			c.aliasFIFO = append(c.aliasFIFO, d)
+		} else {
+			delete(c.aliases, c.aliasFIFO[c.aliasNext])
+			c.aliasFIFO[c.aliasNext] = d
+			c.aliasNext = (c.aliasNext + 1) % c.max
+		}
+	}
+	c.aliases[d] = key
 }
 
 // runCompute shields the flight table from a panicking computation: the

@@ -444,3 +444,122 @@ func TestCoalescedCounterExact(t *testing.T) {
 		t.Errorf("after resident hit: hit=%v miss=%v, want 1/1", hit, miss)
 	}
 }
+
+// put stores val under key through Do, failing the test on an error.
+func put(t *testing.T, c *Cache, key, val string) {
+	t.Helper()
+	if _, _, err := c.Do(context.Background(), key, func() ([]byte, error) { return []byte(val), nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecall: a remembered digest recalls its key's resident bytes and
+// counts exactly one cache.hit; an unknown digest, and a digest whose key
+// was evicted, recall nothing and count nothing.
+func TestRecall(t *testing.T) {
+	m := obs.NewMetrics()
+	c := New(1, m)
+	a, b := BodyDigest("/v1/plan", []byte("a")), BodyDigest("/v1/plan", []byte("b"))
+	put(t, c, "ka", "va")
+	c.Remember(a, "ka")
+	if _, _, ok := c.Recall(b); ok {
+		t.Error("an unknown digest was recalled")
+	}
+	if key, val, ok := c.Recall(a); !ok || key != "ka" || string(val) != "va" {
+		t.Errorf("Recall(a) = %q, %q, %v; want ka, va, true", key, val, ok)
+	}
+	if hits := m.Counter("cache.hit"); hits != 1 {
+		t.Errorf("cache.hit = %v after one recall, want 1", hits)
+	}
+	put(t, c, "kb", "vb") // evicts ka
+	if _, _, ok := c.Recall(a); ok {
+		t.Error("a digest whose key was evicted was recalled")
+	}
+	if hits := m.Counter("cache.hit"); hits != 1 {
+		t.Errorf("cache.hit = %v after missed recalls, want 1", hits)
+	}
+	// The full path stores the key again and remembers the digest again.
+	put(t, c, "ka", "va")
+	c.Remember(a, "ka")
+	if _, val, ok := c.Recall(a); !ok || string(val) != "va" {
+		t.Errorf("re-remembered digest: %q, %v", val, ok)
+	}
+}
+
+// TestRecallRefreshesLRU: a recall marks its entry most recently used, as
+// a hit in Do does, so the next eviction takes the other entry.
+func TestRecallRefreshesLRU(t *testing.T) {
+	c := New(2, nil)
+	a := BodyDigest("/v1/plan", []byte("a"))
+	put(t, c, "ka", "va")
+	put(t, c, "kb", "vb")
+	c.Remember(a, "ka")
+	if _, _, ok := c.Recall(a); !ok {
+		t.Fatal("remembered digest not recalled")
+	}
+	put(t, c, "kc", "vc") // evicts kb, the least recently used
+	if _, ok := c.Get("kb"); ok {
+		t.Error("kb survived eviction; the recall did not refresh ka")
+	}
+	if _, _, ok := c.Recall(a); !ok {
+		t.Error("ka was evicted after its recall")
+	}
+}
+
+// TestAliasBoundFIFO: the alias table holds at most the entry bound and
+// replaces the oldest remembered digest first, whatever was recalled since.
+func TestAliasBoundFIFO(t *testing.T) {
+	const max = 3
+	c := New(max, nil)
+	d := make([]Digest, 2*max)
+	for i := range d {
+		d[i] = BodyDigest("/v1/plan", []byte{byte(i)})
+	}
+	put(t, c, "k", "v") // every digest aliases the one resident key
+	for i := 0; i < max; i++ {
+		c.Remember(d[i], "k")
+	}
+	c.Remember(d[0], "k") // already remembered: keeps its place
+	if _, _, ok := c.Recall(d[0]); !ok {
+		t.Fatal("d0 forgotten before the table filled")
+	}
+	for i := max; i < len(d); i++ {
+		c.Remember(d[i], "k")
+		if n := len(c.aliases); n > max {
+			t.Fatalf("alias table holds %d digests, bound %d", n, max)
+		}
+		for j := 0; j <= i; j++ {
+			_, _, ok := c.Recall(d[j])
+			if want := j > i-max; ok != want {
+				t.Errorf("after remembering d%d: Recall(d%d) = %v, want %v", i, j, ok, want)
+			}
+		}
+	}
+}
+
+// TestZeroEntriesRemembersNothing: a cache that retains no results keeps
+// no aliases either.
+func TestZeroEntriesRemembersNothing(t *testing.T) {
+	c := New(0, nil)
+	d := BodyDigest("/v1/plan", []byte("a"))
+	put(t, c, "k", "v")
+	c.Remember(d, "k")
+	if len(c.aliases) != 0 || len(c.aliasFIFO) != 0 {
+		t.Errorf("zero-entry cache remembered %d digests", len(c.aliases))
+	}
+	if _, _, ok := c.Recall(d); ok {
+		t.Error("zero-entry cache recalled a digest")
+	}
+}
+
+// TestBodyDigestTagsEndpoint: one body sent to two endpoints has two
+// digests, and the endpoint cannot run into the body.
+func TestBodyDigestTagsEndpoint(t *testing.T) {
+	body := []byte(`{"circuit":{}}`)
+	if BodyDigest("/v1/plan", body) == BodyDigest("/v1/bbp", body) {
+		t.Error("one body has one digest on two endpoints")
+	}
+	if BodyDigest("/v1/plan", []byte("x")) == BodyDigest("/v1/pla", []byte("nx")) {
+		t.Error("endpoint and body run together in the digest")
+	}
+}

@@ -267,9 +267,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// Re-serialize the decoded request as the canonical journaled body:
-	// decodeBody has already consumed the wire bytes, and this form is
-	// what ExecutePlan replays.
+	// Journal the decoded request re-serialized, not the wire bytes: this
+	// canonical form is what ExecutePlan replays and what recorded journals
+	// hold.
 	reqBody, err := json.Marshal(&req)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
