@@ -114,3 +114,37 @@ func TestGoldenBackendEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestReportPerNetDelayMatchesStage: a report's per-net delays price every
+// buffer with the gate its net's assignment chose, as the final stage's
+// delay column does, so the largest per-net delay is the stage's maximum
+// for every engine (rabid+lib places gates other than the planning
+// buffer).
+func TestReportPerNetDelayMatchesStage(t *testing.T) {
+	for _, name := range goldenBackendNames {
+		g := coarseGrids[name]
+		c, err := GenerateBenchmark(name, GenOptions{GridW: g[0], GridH: g[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []string{"rabid", "rabid+lib", "mcf"} {
+			p := BenchmarkParams(name)
+			p.Backend = engine
+			res, err := Plan(context.Background(), c, p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, engine, err)
+			}
+			rep, err := res.Report()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, engine, err)
+			}
+			perNet := 0.0
+			for _, nr := range rep.PerNet {
+				perNet = max(perNet, nr.MaxDelayPs)
+			}
+			if final := rep.Stages[len(rep.Stages)-1]; perNet != final.MaxDelayPs {
+				t.Errorf("%s/%s: largest per-net delay %.2f ps, final stage %.2f ps", name, engine, perNet, final.MaxDelayPs)
+			}
+		}
+	}
+}

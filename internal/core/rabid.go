@@ -240,8 +240,29 @@ type siteCheck struct {
 // the delay evaluation's.
 type evalSlot struct {
 	steiner steiner.Scratch
-	sc      delay.Scratch
-	gates   []tech.Gate
+	netEval
+}
+
+// netEval is the memory of one net's delay evaluation, reused across nets:
+// the Elmore pass's arrays and the chosen gates expanded.
+type netEval struct {
+	sc    delay.Scratch
+	gates []tech.Gate
+}
+
+// delays evaluates the sink delays of route rt under assignment a with the
+// gates the DP actually chose: the single planning buffer when a.Gates is
+// nil, or lib[g] for each buffer's library gate g. The result lives in the
+// scratch until its next use.
+func (ne *netEval) delays(e delay.Evaluator, lib []tech.LibGate, rt *rtree.Tree, a bufferdp.Assignment) ([]float64, error) {
+	if a.Gates == nil {
+		return e.SinkDelaysInto(&ne.sc, rt, a.Buffers, nil)
+	}
+	ne.gates = ne.gates[:0]
+	for _, gi := range a.Gates {
+		ne.gates = append(ne.gates, lib[gi].Electrical())
+	}
+	return e.SinkDelaysInto(&ne.sc, rt, a.Buffers, ne.gates)
 }
 
 // Run executes the full RABID pipeline on the circuit.
@@ -845,22 +866,14 @@ func dpLibrary(buf []bufferdp.LibGate, lib []tech.LibGate, base tech.Gate, L int
 }
 
 // sinkDelays evaluates net i's sink delays on route rt with the gates the
-// DP actually chose: the single planning buffer in single-type runs, or
-// the per-buffer library gates when Params.Library is active. The result
-// lives in the slot's scratch until its next use.
+// DP actually chose (see netEval.delays); a net without an assignment yet
+// is unbuffered. The result lives in the slot's scratch until its next use.
 func (s *state) sinkDelays(sl *evalSlot, rt *rtree.Tree, i int) ([]float64, error) {
-	if !s.hasAsg[i] {
-		return s.eval.SinkDelaysInto(&sl.sc, rt, nil, nil)
+	var a bufferdp.Assignment
+	if s.hasAsg[i] {
+		a = s.asg[i]
 	}
-	a := s.asg[i]
-	if a.Gates == nil {
-		return s.eval.SinkDelaysInto(&sl.sc, rt, a.Buffers, nil)
-	}
-	sl.gates = sl.gates[:0]
-	for _, gi := range a.Gates {
-		sl.gates = append(sl.gates, s.p.Library[gi].Electrical())
-	}
-	return s.eval.SinkDelaysInto(&sl.sc, rt, a.Buffers, sl.gates)
+	return sl.delays(s.eval, s.p.Library, rt, a)
 }
 
 // evalSlots sizes the per-worker-slot scratch for a fan-out over n nets.

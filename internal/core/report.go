@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/delay"
 )
@@ -54,6 +55,9 @@ func (r *Result) Report() (*Report, error) {
 		Nets:     len(r.Circuit.Nets),
 		Capacity: r.Capacity,
 	}
+	// Grow keeps an empty list nil, so it still encodes as null.
+	rep.Stages = slices.Grow(rep.Stages, len(r.Stages))
+	rep.PerNet = slices.Grow(rep.PerNet, len(r.Circuit.Nets))
 	for _, s := range r.Stages {
 		rep.Stages = append(rep.Stages, StageReport{
 			Stage:      s.Stage,
@@ -74,6 +78,9 @@ func (r *Result) Report() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each net is priced with the gates its assignment chose, as the final
+	// stage's delay columns are, and on one scratch reused across nets.
+	var ne netEval
 	for i, n := range r.Circuit.Nets {
 		a := r.Assignments[i]
 		nr := NetReport{
@@ -85,7 +92,7 @@ func (r *Result) Report() (*Report, error) {
 			Feasible:   a.Feasible(),
 			Violations: a.Violations,
 		}
-		if ds, err := eval.SinkDelays(r.Routes[i], a.Buffers); err == nil {
+		if ds, err := ne.delays(eval, r.Params.Library, r.Routes[i], a); err == nil {
 			for _, d := range ds {
 				if ps := d * 1e12; ps > nr.MaxDelayPs {
 					nr.MaxDelayPs = ps

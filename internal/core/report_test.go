@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/floorplan"
+	"repro/internal/tech"
 )
 
 func TestReportRoundTrip(t *testing.T) {
@@ -65,5 +68,46 @@ func TestReportRoundTrip(t *testing.T) {
 func TestReadReportRejectsGarbage(t *testing.T) {
 	if _, err := ReadReport(bytes.NewBufferString("{nope")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestReportAllocBound: a report reuses one delay scratch across nets and
+// sizes its lists once, so it allocates a fixed count — the report, its two
+// lists, the scratch's growth to the largest net — at any net count. With a
+// fresh scratch per net it allocated about 12 objects per net. Each
+// circuit is reported for the single-type engine and for the library DP,
+// whose gates it expands per net.
+func TestReportAllocBound(t *testing.T) {
+	const bound = 100 // allocations per report, at any net count
+	for _, tc := range []struct {
+		name string
+		w, h int
+	}{{"hp", 10, 10}, {"playout", 11, 10}} {
+		spec, err := floorplan.BySuiteName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := floorplan.Generate(spec, floorplan.Options{GridW: tc.w, GridH: tc.h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lib := range [][]tech.LibGate{nil, tech.DefaultPlanningLibrary018()} {
+			p := DefaultParams()
+			p.Library = lib
+			res, err := Run(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				if _, err := res.Report(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s (%d nets), library %v: %v allocs per report", tc.name, len(c.Nets), lib != nil, avg)
+			if avg > bound {
+				t.Errorf("%s (%d nets), library %v: %v allocs per report, want <= %d",
+					tc.name, len(c.Nets), lib != nil, avg, bound)
+			}
+		}
 	}
 }
