@@ -82,7 +82,7 @@ type astarState struct {
 // pre-warms the per-edge cost memo the main search reads. The arming queue
 // work is recorded in armPops / armRelax and folded into the wavefront
 // counters by the caller.
-func (ws *Workspace) armPathBound(g *tile.Graph, head int, blocked []bool, opt Options, limit float64) {
+func (ws *Workspace) armPathBound(g *tile.Graph, head int, blocked []bool, opt *Options, limit float64) {
 	a := &ws.astar
 	nt := g.NumTiles()
 	if len(a.hd) < nt {

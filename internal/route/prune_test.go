@@ -45,7 +45,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	}
 	astar := kern == KernelAstar
 	if astar {
-		ws.oracleArmPath(g, headIdx, blocked, opt)
+		ws.oracleArmPath(g, headIdx, blocked, &opt)
 	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
 	ws.sStamp[start] = ep
@@ -90,7 +90,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 			if tally {
 				relaxations++
 			}
-			wc := ws.edgeCostMemo(g, int(edges[x]), opt)
+			wc := ws.edgeCostMemo(g, int(edges[x]), &opt)
 			var hw float64
 			if astar {
 				hw = ws.oracleHPath(w)
@@ -120,7 +120,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 				ws.sDist[ns] = math.Inf(1)
 				ws.sDone[ns] = false
 			}
-			if nd := ds + wc + siteCostClamped(g, w, opt); nd < ws.sDist[ns] {
+			if nd := ds + wc + siteCostClamped(g, w, &opt); nd < ws.sDist[ns] {
 				ws.sDist[ns] = nd
 				//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 				ws.sPred[ns] = int32(s)
@@ -153,7 +153,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 
 // oracleArmPath and oracleHPath are the oracle's A* heuristic as it was:
 // the uncapped reverse Dijkstra and its lookup.
-func (ws *Workspace) oracleArmPath(g *tile.Graph, head int, blocked []bool, opt Options) {
+func (ws *Workspace) oracleArmPath(g *tile.Graph, head int, blocked []bool, opt *Options) {
 	a := &ws.astar
 	nt := g.NumTiles()
 	if len(a.hd) < nt {
@@ -359,7 +359,7 @@ func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspac
 	// above the optimum; see TestBufferAwarePathAstarTieRegression.)
 	if werr == nil && opt.Kernel != KernelAstar {
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, optimal, in.tail, in.head, L, in.blocked, opt); !ok || math.Float64bits(u) != math.Float64bits(wantCost) {
+		if u, ok := ws.incumbentCost(g, optimal, in.tail, in.head, L, in.blocked, &opt); !ok || math.Float64bits(u) != math.Float64bits(wantCost) {
 			t.Fatalf("%s %s: incumbent cost of the optimal path = %v (ok=%v), search cost %v", label, opt.Kernel, u, ok, wantCost)
 		}
 	}
@@ -471,12 +471,12 @@ func TestIncumbentCost(t *testing.T) {
 		optimal := slices.Clone(path)
 		slices.Reverse(optimal)
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, optimal, tail, head, L, blocked, opt); !ok || math.Float64bits(u) != math.Float64bits(best) {
+		if u, ok := ws.incumbentCost(g, optimal, tail, head, L, blocked, &opt); !ok || math.Float64bits(u) != math.Float64bits(best) {
 			t.Fatalf("L=%d: incumbent cost of the optimal path = %v (ok=%v), search cost %v", L, u, ok, best)
 		}
 		other := benchIncumbent(t, g, tail, head, blocked)
 		ws.begin(g.NumEdges())
-		if u, ok := ws.incumbentCost(g, other, tail, head, L, blocked, opt); !ok || u < best {
+		if u, ok := ws.incumbentCost(g, other, tail, head, L, blocked, &opt); !ok || u < best {
 			t.Fatalf("L=%d: incumbent cost of another legal walk = %v (ok=%v), below the optimum %v", L, u, ok, best)
 		}
 	}
@@ -505,7 +505,7 @@ func TestIncumbentCost(t *testing.T) {
 		"head in middle": {viaHead, blocked},
 	} {
 		ws.begin(g.NumEdges())
-		if _, ok := ws.incumbentCost(g, tc.walk, tail, head, 6, tc.blocked, opt); ok {
+		if _, ok := ws.incumbentCost(g, tc.walk, tail, head, 6, tc.blocked, &opt); ok {
 			t.Errorf("%s: illegal walk accepted as an incumbent", name)
 		}
 	}

@@ -61,8 +61,10 @@ func DefaultOptions() Options {
 	return Options{Alpha: 0.4, LengthWeight: 0.05, OverflowPenalty: 1e6}
 }
 
-// edgeCost returns the finite routing cost for edge e.
-func edgeCost(g *tile.Graph, e int, opt Options) float64 {
+// edgeCost returns the finite routing cost for edge e. It and the other
+// per-relaxation cost helpers take Options by pointer: copying the whole
+// struct on every relaxation was a measurable share of Stage-4 CPU.
+func edgeCost(g *tile.Graph, e int, opt *Options) float64 {
 	var c float64
 	if opt.Weight != nil {
 		c = opt.Weight[e]
@@ -79,7 +81,7 @@ func edgeCost(g *tile.Graph, e int, opt Options) float64 {
 // congestion state of g and Options.Weight are static (a net's own wires
 // are removed before it reroutes), so every evaluation of an edge yields
 // the same value and the first one can be cached under the call's epoch.
-func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options) float64 {
+func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt *Options) float64 {
 	if ws.ecStamp[e] == ws.epoch {
 		return ws.ec[e]
 	}
@@ -171,7 +173,7 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 			if tally {
 				relaxations++
 			}
-			ec := ws.edgeCostMemo(g, int(edges[x]), opt)
+			ec := ws.edgeCostMemo(g, int(edges[x]), &opt)
 			if k := base + ec; k < ws.key[v] {
 				ws.key[v] = k
 				ws.pathCost[v] = pcu + ec
@@ -413,7 +415,7 @@ func wireHeat(g *tile.Graph, heat []float64) []float64 {
 
 // siteCostClamped is the Eq. (2) site cost with the router's overflow
 // clamp applied.
-func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
+func siteCostClamped(g *tile.Graph, v int, opt *Options) float64 {
 	c := g.SiteCost(v)
 	if c > opt.OverflowPenalty {
 		c = opt.OverflowPenalty
@@ -489,7 +491,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	}
 	astar := kern == KernelAstar
 	limit := math.Inf(1)
-	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, opt); ok {
+	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, &opt); ok {
 		limit = u * (1 + boundSlack)
 	}
 	// h is the astar kernel's heuristic; the heap kernel arms it only for a
@@ -497,7 +499,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	// pop keys stay the plain costs either way.
 	armed := astar || (L >= boundMinL && !math.IsInf(limit, 1))
 	if armed {
-		ws.armPathBound(g, headIdx, blocked, opt, limit)
+		ws.armPathBound(g, headIdx, blocked, &opt, limit)
 	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
 	ws.sStamp[start] = ep
@@ -576,7 +578,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 			if tally {
 				relaxations++
 			}
-			wc := ws.edgeCostMemo(g, int(edges[x]), opt)
+			wc := ws.edgeCostMemo(g, int(edges[x]), &opt)
 			var hw, hk float64 // the lower bound at w, and its share of the pop key
 			if armed {
 				hw = ws.pathBound(w)
@@ -610,7 +612,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 			if !bufMoves {
 				continue
 			}
-			if nd := ds + wc + siteCostClamped(g, w, opt); nd+hw <= limit {
+			if nd := ds + wc + siteCostClamped(g, w, &opt); nd+hw <= limit {
 				ns := w * L
 				if ws.sStamp[ns] != ep {
 					ws.sStamp[ns] = ep
@@ -657,7 +659,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 // above. ok is false when the walk is empty or not a legal path of the
 // search: wrong ends, a non-adjacent step, or a blocked or head tile in its
 // interior.
-func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geom.Pt, L int, blocked []bool, opt Options) (float64, bool) {
+func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geom.Pt, L int, blocked []bool, opt *Options) (float64, bool) {
 	n := len(walk)
 	if n == 0 || walk[0] != tail || walk[n-1] != head {
 		return 0, false
