@@ -6,10 +6,12 @@
 #      for /v1/healthz,
 #   2. POST a suite circuit to /v1/plan twice — the first response must be
 #      a cache miss, the second a hit, and the bodies byte-identical (the
-#      content-addressed cache's soundness claim) — then plan the same
-#      circuit through the rabid+lib and mcf backends and require three
-#      pairwise-distinct ETags (engine identity is part of the content
-#      address),
+#      content-addressed cache's soundness claim); then POST a whitespace-
+#      reformatted copy, which is not recalled by its bytes but must still
+#      resolve to the same key: a hit with the same ETag and body — then
+#      plan the same circuit through the rabid+lib and mcf backends and
+#      require three pairwise-distinct ETags (engine identity is part of
+#      the content address),
 #   3. submit a second circuit as an async job (POST /v1/jobs), stream its
 #      SSE event feed to completion with curl -N, and require the terminal
 #      "done" frame plus a done status with an embedded result,
@@ -77,10 +79,24 @@ cmp "$workdir/r1.json" "$workdir/r2.json" || {
 grep -qi '^x-request-id: ' "$workdir/h1.txt" || {
   echo "plan response carries no X-Request-ID:"; cat "$workdir/h1.txt"; exit 1; }
 
+etag() { sed -n 's/^[Ee][Tt]ag: *//p' "$1" | tr -d '\r'; }
+
+# --- a reformatted re-request: the same request with a space after the
+# first '{' is new bytes, so it is parsed, not recalled, and must resolve
+# to the same content key.
+{ printf '{ '; tail -c +2 "$workdir/req.json"; } > "$workdir/req_spaced.json"
+curl -sf -D "$workdir/h3.txt" -o "$workdir/r3.json" \
+  -X POST --data-binary @"$workdir/req_spaced.json" "http://$addr/v1/plan"
+grep -qi '^x-cache: hit' "$workdir/h3.txt" || {
+  echo "reformatted plan was not a cache hit:"; cat "$workdir/h3.txt"; exit 1; }
+[ "$(etag "$workdir/h3.txt")" = "$(etag "$workdir/h1.txt")" ] || {
+  echo "reformatted plan changed the ETag"; exit 1; }
+cmp "$workdir/r1.json" "$workdir/r3.json" || {
+  echo "reformatted plan's response is not byte-identical to the fresh one"; exit 1; }
+
 # --- planning backends: the same circuit through two more engines must
 # plan successfully and mint distinct content addresses (ETags) — the
 # engines can never alias in the cache.
-etag() { sed -n 's/^[Ee][Tt]ag: *//p' "$1" | tr -d '\r'; }
 for be in rabid+lib mcf; do
   printf '{"circuit":%s,"params":{"backend":"%s"},"timeout_ms":120000}' \
     "$(cat "$workdir/apte.json")" "$be" > "$workdir/req_be.json"
@@ -135,4 +151,4 @@ if grep -vq '"id":"' "$workdir/access.jsonl"; then
 kill -TERM "$pid"
 wait "$pid" || { echo "rabidd drain exited nonzero" >&2; exit 1; }
 pid=
-echo "server smoke OK: miss->hit byte-identical, job streamed to done, journal replay verified, metricz quantiles valid, access log populated, clean drain"
+echo "server smoke OK: miss->hit byte-identical (reformatted too), job streamed to done, journal replay verified, metricz quantiles valid, access log populated, clean drain"
