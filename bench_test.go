@@ -179,10 +179,9 @@ func BenchmarkRunSuite(b *testing.B) {
 // BenchmarkRunSuiteSteiner compares the two Stage-1 constructions over the
 // full ten-circuit suite: "pd" (Prim–Dijkstra tradeoff at the per-circuit
 // alpha) versus "costdist" (the Held–Perner cost-distance tree with
-// w = 1/L, Stage 2 rerouted at alpha = 1 — the regime where the astar
-// kernel engages). ns/op per mode is the end-to-end cost of the
-// alternative objective; scripts/bench_compare.sh snapshots both rows
-// into BENCH_route.json.
+// w = 1/L, Stage 2 rerouted at alpha = 1). ns/op per mode is the
+// end-to-end cost of the alternative objective; scripts/bench_compare.sh
+// snapshots both rows into BENCH_route.json.
 func BenchmarkRunSuiteSteiner(b *testing.B) {
 	names := append(append([]string{}, exp.CBLNames...), exp.RandomNames...)
 	for _, mode := range SteinerModes() {
@@ -309,8 +308,9 @@ func BenchmarkMultiSinkDP(b *testing.B) {
 
 // --- ablations ---------------------------------------------------------
 
-// ablationRun executes apte with a parameter mutation and reports the
-// final fails/overflow/delay as benchmark metrics.
+// ablationRun plans apte with a parameter mutation through the engine it
+// names (Plan; the default is the rabid pipeline) and reports the final
+// fails/overflow/delay as benchmark metrics.
 func ablationRun(b *testing.B, mutate func(*Params)) {
 	b.Helper()
 	c, err := GenerateBenchmark("apte", GenOptions{})
@@ -321,7 +321,7 @@ func ablationRun(b *testing.B, mutate func(*Params)) {
 	mutate(&p)
 	var fails, overflow, delay float64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(c, p)
+		res, err := Plan(context.Background(), c, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,11 +359,12 @@ func BenchmarkAblationDemandTerm(b *testing.B) {
 	b.Run("without-p", func(b *testing.B) { ablationRun(b, func(p *Params) { p.DisableDemandTerm = true }) })
 }
 
-// BenchmarkAblationMCFRouter contrasts Stage 2's Nair-style rip-up with
-// the multicommodity-flow router the paper names as the alternative.
+// BenchmarkAblationMCFRouter contrasts the rabid pipeline's Nair-style
+// rip-up with the mcf engine, the multicommodity-flow alternative to
+// Stages 1-2 the paper names.
 func BenchmarkAblationMCFRouter(b *testing.B) {
 	b.Run("ripup", func(b *testing.B) { ablationRun(b, func(p *Params) {}) })
-	b.Run("mcf", func(b *testing.B) { ablationRun(b, func(p *Params) { p.UseMCFRouter = true }) })
+	b.Run("mcf", func(b *testing.B) { ablationRun(b, func(p *Params) { p.Backend = "mcf" }) })
 }
 
 // BenchmarkAblationTwoPath contrasts the full pipeline with Stage 4

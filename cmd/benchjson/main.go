@@ -36,8 +36,9 @@ import (
 
 // Benchmark is one parsed result line. PopsOp and RelaxOp capture the
 // router's custom b.ReportMetric columns (pops/op, relaxations/op) from
-// the search-kernel matrix benchmarks — the checked-in baseline is where
-// the kernel pop-count win is recorded, so these survive the conversion.
+// the Stage-4 search benchmarks (BenchmarkBufferAwarePath[Incumbent]) —
+// the checked-in baseline records the search's queue work next to its
+// time, so these survive the conversion.
 type Benchmark struct {
 	Name     string  `json:"name"`
 	Pkg      string  `json:"pkg,omitempty"`

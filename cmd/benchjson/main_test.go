@@ -15,7 +15,7 @@ pkg: repro/internal/route
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkReroute-8         	   19454	     55129 ns/op	       5 B/op	       0 allocs/op
 BenchmarkRipupPass-8       	     186	   6877608 ns/op	    2587 B/op	       2 allocs/op
-BenchmarkBufferAwarePathKernel/astar-8 	    4155	    305207 ns/op	      1807 pops/op	      5843 relaxations/op	       0 B/op	       0 allocs/op
+BenchmarkBufferAwarePath-8 	    4155	    305207 ns/op	      1807 pops/op	      5843 relaxations/op	       0 B/op	       0 allocs/op
 PASS
 ok  	repro/internal/route	5.336s
 pkg: repro
@@ -50,14 +50,14 @@ func TestParse(t *testing.T) {
 		t.Errorf("BenchmarkReroute fields: %+v", *reroute)
 	}
 	for i := range rep.Benchmarks {
-		if b := rep.Benchmarks[i]; b.Name == "BenchmarkBufferAwarePathKernel/astar" {
+		if b := rep.Benchmarks[i]; b.Name == "BenchmarkBufferAwarePath" {
 			if b.PopsOp != 1807 || b.RelaxOp != 5843 {
 				t.Errorf("custom wavefront metrics not captured: %+v", b)
 			}
 			return
 		}
 	}
-	t.Error("kernel-matrix benchmark missing from parse")
+	t.Error("Stage-4 search benchmark missing from parse")
 }
 
 func TestParseRejectsEmpty(t *testing.T) {

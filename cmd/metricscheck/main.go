@@ -4,10 +4,11 @@
 // completed span per pipeline stage with a positive, finite duration, and
 // no exported value may be non-finite (the JSON encoder writes NaN/±Inf
 // as null, so a null anywhere is a telemetry bug). -counters names
-// counters that must additionally be present — the Stage-2 per-kernel
-// wavefront totals (route.pops.<kernel>, route.relaxations.<kernel>), for
-// instance, are emitted even on a zero-pass run, so their absence means
-// the kernel tap was never threaded through.
+// counters that must additionally be present — the Stage-2 wavefront
+// totals (route.pops.heap, route.relaxations.heap, labeled by the binary
+// heap every search pops from), for instance, are emitted even on a
+// zero-pass run, so their absence means the counting tap was never
+// threaded through.
 //
 // -quantiles additionally gates the exported histogram quantiles: every
 // histogram with at least one sample must carry finite p50/p95/p99 in

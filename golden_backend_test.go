@@ -148,3 +148,39 @@ func TestReportPerNetDelayMatchesStage(t *testing.T) {
 		}
 	}
 }
+
+// TestRetimeAndLayersDelayMatchStage: the timing-driven retime and the
+// layer evaluation price every buffer with the gate its net's assignment
+// chose, as the final stage's delay column does. On coarse apte the retime
+// of the single worst net starts from the stage's maximum delay, and so
+// does the layer evaluation with every net on the thin layer (whose wire
+// parasitics are the base technology's), for every engine.
+func TestRetimeAndLayersDelayMatchStage(t *testing.T) {
+	g := coarseGrids["apte"]
+	c, err := GenerateBenchmark("apte", GenOptions{GridW: g[0], GridH: g[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"rabid", "rabid+lib", "mcf"} {
+		p := BenchmarkParams("apte")
+		p.Backend = engine
+		res, err := Plan(context.Background(), c, p)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		want := res.Stages[len(res.Stages)-1].MaxDelayPs
+		thin := &LayerAssignment{Stack: DefaultStack018(), LayerOf: make([]int, len(c.Nets))}
+		if got, _, err := thin.Evaluate(res, res.Params.Tech); err != nil || got != want {
+			t.Errorf("%s: thin-layer Evaluate max %.2f ps (err %v), final stage %.2f ps", engine, got, err, want)
+		}
+		// The retime releases and re-places the worst net's buffers on the
+		// result's graph, so it runs last.
+		reps, err := RetimeCriticalNets(res, 1, DefaultLibrary018())
+		if err != nil || len(reps) != 1 {
+			t.Fatalf("%s: retime: %v (%d reports)", engine, err, len(reps))
+		}
+		if got := reps[0].BeforeMaxPs; got != want {
+			t.Errorf("%s: retime BeforeMaxPs %.2f ps, final stage %.2f ps", engine, got, want)
+		}
+	}
+}

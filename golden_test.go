@@ -1,6 +1,9 @@
 package rabid
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestPipelineDeterminism locks the property that the whole pipeline —
 // generation, routing, buffering, post-processing — is a pure function of
@@ -47,44 +50,50 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestRouteMCFFacade drives the MCF router through the public API.
+// TestRouteMCFFacade drives the multicommodity-flow router through the
+// public API: Plan with the "mcf" engine and its phase knob routes every
+// net and reports the three stages of that engine.
 func TestRouteMCFFacade(t *testing.T) {
 	c, err := GenerateBenchmark("apte", GenOptions{GridW: 10, GridH: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RouteMCF(c, 16, MCFOptions{Seed: 1, Phases: 4})
+	p := BenchmarkParams("apte")
+	p.Backend = "mcf"
+	p.MCFPhases = 4
+	res, err := Plan(context.Background(), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Routes) != len(c.Nets) {
 		t.Fatalf("routed %d of %d nets", len(res.Routes), len(c.Nets))
 	}
-	if res.FractionalMaxCongestion <= 0 || res.RoundedMaxCongestion <= 0 {
-		t.Error("congestion certificates missing")
+	if len(res.Stages) != 3 || res.Stages[1].WireMax <= 0 {
+		t.Errorf("stages %+v: want three, with Stage-2 congestion", res.Stages)
 	}
 }
 
-// TestMCFPipelineParity runs the full pipeline with both Stage-2 routers;
-// both must satisfy the problem formulation's constraints.
+// TestMCFPipelineParity plans with both Stage-2 routers, the rabid
+// pipeline's rip-up and the mcf engine's multicommodity flow; both must
+// satisfy the problem formulation's constraints.
 func TestMCFPipelineParity(t *testing.T) {
 	c, err := GenerateBenchmark("hp", GenOptions{GridW: 10, GridH: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, useMCF := range []bool{false, true} {
+	for _, engine := range []string{"rabid", "mcf"} {
 		p := BenchmarkParams("hp")
-		p.UseMCFRouter = useMCF
-		res, err := Run(c, p)
+		p.Backend = engine
+		res, err := Plan(context.Background(), c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		final := res.Stages[len(res.Stages)-1]
 		if final.Overflows != 0 {
-			t.Errorf("useMCF=%v: %d overflows", useMCF, final.Overflows)
+			t.Errorf("%s: %d overflows", engine, final.Overflows)
 		}
 		if final.BufMax > 1 {
-			t.Errorf("useMCF=%v: buffer constraint violated", useMCF)
+			t.Errorf("%s: buffer constraint violated", engine)
 		}
 	}
 }

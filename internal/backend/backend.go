@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -83,22 +82,21 @@ func Names() []string {
 	return out
 }
 
-// Normalize canonicalizes the engine-selection fields of p and validates
-// them against the registry, returning the Params every downstream
-// consumer — the engine itself and the cache-key derivation — must use:
+// Normalize canonicalizes p and validates it against the registry,
+// returning the Params every downstream consumer — the engine itself and
+// the cache-key derivation — must use:
 //
-//   - Backend "" becomes DefaultName, so the empty spelling and the
-//     explicit one share one content address;
+//   - Backend "" becomes DefaultName and SteinerMode "" becomes "pd", so
+//     the empty and explicit spellings of the defaults share one content
+//     address;
 //   - "rabid+lib" with an empty Library gets tech.DefaultPlanningLibrary018,
 //     so the default library is spelled out in the key and a future default
 //     change cannot silently alias old cache entries;
-//   - "rabid" and "mcf" reject a non-empty Library: those engines run the
-//     single-type DP, and accepting (then ignoring) a library would mint
-//     distinct keys for byte-identical results;
-//   - SearchKernel goes through route.CanonicalKernel ("" and the retired
-//     "dial" become "heap") and SteinerMode "" becomes "pd", so the empty
-//     and explicit spellings of the defaults share one content address;
-//   - the mcf engine knobs (MCFPhases, MCFEpsilon) are validated here so a
+//   - the per-engine rules: "rabid" and "mcf" reject a non-empty Library
+//     (they run the single-type DP), and every engine but "mcf" rejects
+//     non-zero MCFPhases or MCFEpsilon. Accepting, then ignoring, a knob
+//     would mint distinct keys for byte-identical results;
+//   - the engine-independent rules are Params.Validate's, run last, so a
 //     bad request fails before it is keyed or queued.
 //
 // Normalize must run before core.PlanKey / cache admission; the server and
@@ -110,40 +108,20 @@ func Normalize(p core.Params) (core.Params, error) {
 	if _, ok := registry[p.Backend]; !ok {
 		return p, fmt.Errorf("backend: unknown engine %q (have %v)", p.Backend, Names())
 	}
-	kernel, err := route.CanonicalKernel(p.SearchKernel)
-	if err != nil {
-		return p, fmt.Errorf("backend: %w", err)
-	}
-	p.SearchKernel = kernel
-	switch p.SteinerMode {
-	case "":
+	if p.SteinerMode == "" {
 		p.SteinerMode = core.SteinerPD
-	case core.SteinerPD, core.SteinerCostDist:
-	default:
-		return p, fmt.Errorf("backend: unknown steiner mode %q (have %v)", p.SteinerMode, core.SteinerModes())
 	}
-	if p.MCFPhases < 0 {
-		return p, fmt.Errorf("backend: mcf phases %d < 0", p.MCFPhases)
-	}
-	if p.MCFEpsilon != 0 && (p.MCFEpsilon <= 0 || p.MCFEpsilon >= 1) {
-		return p, fmt.Errorf("backend: mcf epsilon %g outside (0,1)", p.MCFEpsilon)
-	}
-	switch p.Backend {
-	case NameRabidLib:
+	if p.Backend == NameRabidLib {
 		if len(p.Library) == 0 {
 			p.Library = tech.DefaultPlanningLibrary018()
 		}
-		for i := range p.Library {
-			if err := p.Library[i].Validate(); err != nil {
-				return p, fmt.Errorf("backend: library gate %d: %w", i, err)
-			}
-		}
-	default:
-		if len(p.Library) > 0 {
-			return p, fmt.Errorf("backend: engine %q does not take a buffer library (use %q)", p.Backend, NameRabidLib)
-		}
+	} else if len(p.Library) > 0 {
+		return p, fmt.Errorf("backend: engine %q does not take a buffer library (use %q)", p.Backend, NameRabidLib)
 	}
-	return p, nil
+	if p.Backend != NameMCF && (p.MCFPhases != 0 || p.MCFEpsilon != 0) {
+		return p, fmt.Errorf("backend: engine %q does not take mcf phases or epsilon (use %q)", p.Backend, NameMCF)
+	}
+	return p, p.Validate()
 }
 
 // Plan normalizes p, resolves the engine, and runs it.

@@ -131,20 +131,35 @@ func TestNormalize(t *testing.T) {
 		}
 	}
 
-	// Kernel spellings: the empty default and the retired "dial" run (and
-	// key) as heap, astar stays, anything else is refused.
-	for in, want := range map[string]string{"": "heap", "heap": "heap", "dial": "heap", "astar": "astar"} {
-		k := core.DefaultParams()
-		k.SearchKernel = in
-		got, err := Normalize(k)
-		if err != nil || got.SearchKernel != want {
-			t.Errorf("SearchKernel %q normalized to %q (err %v), want %q", in, got.SearchKernel, err, want)
+	// The mcf knobs reach only the mcf engine: any other engine refuses
+	// them rather than key a byte-identical result twice.
+	for _, name := range []string{NameRabid, NameRabidLib, ""} {
+		for knob, mutate := range map[string]func(*core.Params){
+			"phases":  func(p *core.Params) { p.MCFPhases = 5 },
+			"epsilon": func(p *core.Params) { p.MCFEpsilon = 0.2 },
+		} {
+			p := core.DefaultParams()
+			p.Backend = name
+			mutate(&p)
+			if _, err := Normalize(p); err == nil || !strings.Contains(err.Error(), "does not take mcf") {
+				t.Errorf("engine %q with mcf %s: error = %v", name, knob, err)
+			}
 		}
 	}
-	unknown := core.DefaultParams()
-	unknown.SearchKernel = "fibheap"
-	if _, err := Normalize(unknown); err == nil || !strings.Contains(err.Error(), "unknown search kernel") {
-		t.Fatalf("unknown kernel error = %v", err)
+	m := core.DefaultParams()
+	m.Backend, m.MCFPhases, m.MCFEpsilon = NameMCF, 5, 0.2
+	if _, err := Normalize(m); err != nil {
+		t.Errorf("mcf engine refused its own knobs: %v", err)
+	}
+
+	// Params.Validate's rules apply on every engine before a key exists.
+	for _, name := range Names() {
+		p := core.DefaultParams()
+		p.Backend = name
+		p.MaxRipupPasses = 0
+		if _, err := Normalize(p); err == nil {
+			t.Errorf("engine %q accepted zero rip-up passes", name)
+		}
 	}
 }
 
@@ -203,11 +218,7 @@ func scrub(r *core.Result) *core.Result {
 }
 
 // TestPlanRabidMatchesCore pins the refactor: the "rabid" engine is the
-// pre-existing pipeline behind a name, identical to core.Run — also for
-// Params whose RouteOpt.Kernel disagrees with SearchKernel. The run takes
-// its kernel from SearchKernel alone, so a stray RouteOpt.Kernel (astar,
-// which changes coarse apte's Stage 4, or a name no kernel has) cannot make
-// the same Params plan differently through the two entry points.
+// pre-existing pipeline behind a name, identical to core.Run.
 func TestPlanRabidMatchesCore(t *testing.T) {
 	spec, err := floorplan.BySuiteName("apte")
 	if err != nil {
@@ -217,21 +228,18 @@ func TestPlanRabidMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, routeKernel := range []string{"", "astar", "bogus"} {
-		p := core.DefaultParams()
-		p.TargetStage1Avg = 0.15 // apte's suite calibration
-		p.RouteOpt.Kernel = routeKernel
-		direct, err := core.Run(c, p)
-		if err != nil {
-			t.Fatalf("RouteOpt.Kernel %q: %v", routeKernel, err)
-		}
-		viaBackend, err := Plan(context.Background(), c, p)
-		if err != nil {
-			t.Fatalf("RouteOpt.Kernel %q: %v", routeKernel, err)
-		}
-		if !reflect.DeepEqual(scrub(direct), scrub(viaBackend)) {
-			t.Errorf("RouteOpt.Kernel %q: rabid engine result differs from core.Run", routeKernel)
-		}
+	p := core.DefaultParams()
+	p.TargetStage1Avg = 0.15 // apte's suite calibration
+	direct, err := core.Run(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaBackend, err := Plan(context.Background(), c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scrub(direct), scrub(viaBackend)) {
+		t.Error("rabid engine result differs from core.Run")
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -41,11 +40,13 @@ import (
 // of the old layout cannot alias new ones. A change that only alters what
 // some request computes does not bump it: the cache lives only in memory,
 // and the one thing that persists, the journal, re-derives every entry's
-// key on replay (cmd/journal replay), so a bump would fail key
-// verification for every recorded entry, not just the changed ones. Such
-// entries replay with result and event mismatches instead, which name
-// exactly the requests whose results moved.
-const keyVersion = 3
+// key on replay (cmd/journal replay), so a bump fails key verification for
+// every recorded entry, not just the changed ones. Such entries replay
+// with result and event mismatches instead, which name exactly the
+// requests whose results moved. Version 4 dropped two retired request
+// fields from the material: journals recorded under version 3 no longer
+// verify (DESIGN.md "Planning backends").
+const keyVersion = 4
 
 // planMaterial enumerates, exhaustively and in a fixed order, every field
 // of a plan request that can affect the result. Fields deliberately
@@ -68,22 +69,16 @@ type planMaterial struct {
 	Tech              tech.Tech        `json:"tech"`
 	SkipStage4        bool             `json:"skip_stage4"`
 	DisableDemandTerm bool             `json:"disable_demand_term"`
-	UseMCFRouter      bool             `json:"use_mcf_router"`
 	// Backend and Library identify the planning engine. Callers must
 	// normalize Params first (backend.Normalize): "" and "rabid" are the
 	// same engine and must share one address, and "rabid+lib" must have its
 	// default library spelled out so a future default change cannot alias
 	// entries computed under the old one.
-	Backend string         `json:"backend"`
-	Library []tech.LibGate `json:"library,omitempty"`
-	// SearchKernel is keyed through route.CanonicalKernel: "", "heap" and
-	// the retired "dial" run the same search, so they share one address;
-	// "astar" returns identical path costs but may break tree tie-breaks
-	// differently, so it mints its own.
-	SearchKernel string  `json:"search_kernel"`
-	SteinerMode  string  `json:"steiner_mode"`
-	MCFPhases    int     `json:"mcf_phases"`
-	MCFEpsilon   float64 `json:"mcf_epsilon"`
+	Backend     string         `json:"backend"`
+	Library     []tech.LibGate `json:"library,omitempty"`
+	SteinerMode string         `json:"steiner_mode"`
+	MCFPhases   int            `json:"mcf_phases"`
+	MCFEpsilon  float64        `json:"mcf_epsilon"`
 }
 
 // steinerModeKey canonicalizes a Steiner mode for key material: "" is the
@@ -98,14 +93,10 @@ func steinerModeKey(mode string) string {
 // PlanKey derives the content address of a RABID run: a hex SHA-256 over
 // the canonical serialization of (circuit, params, tech). It fails when
 // the parameters carry a custom RouteOpt.Weight — a result-affecting input
-// the key material does not cover — or name an unknown search kernel.
+// the key material does not cover.
 func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 	if p.RouteOpt.Weight != nil {
 		return "", fmt.Errorf("cache: params with a custom RouteOpt.Weight are not content-addressable")
-	}
-	kernel, err := route.CanonicalKernel(p.SearchKernel)
-	if err != nil {
-		return "", fmt.Errorf("cache: %w", err)
 	}
 	return hash(planMaterial{
 		Version:           keyVersion,
@@ -121,10 +112,8 @@ func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 		Tech:              p.Tech,
 		SkipStage4:        p.SkipStage4,
 		DisableDemandTerm: p.DisableDemandTerm,
-		UseMCFRouter:      p.UseMCFRouter,
 		Backend:           p.Backend,
 		Library:           p.Library,
-		SearchKernel:      kernel,
 		SteinerMode:       steinerModeKey(p.SteinerMode),
 		MCFPhases:         p.MCFPhases,
 		MCFEpsilon:        p.MCFEpsilon,

@@ -86,18 +86,13 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 		"Tech":              {func(p *core.Params) { p.Tech.DriverRes += 1 }, true},
 		"SkipStage4":        {func(p *core.Params) { p.SkipStage4 = true }, true},
 		"DisableDemandTerm": {func(p *core.Params) { p.DisableDemandTerm = true }, true},
-		"UseMCFRouter":      {func(p *core.Params) { p.UseMCFRouter = true }, true},
 		"Backend":           {func(p *core.Params) { p.Backend = "mcf" }, true},
 		"Library":           {func(p *core.Params) { p.Library = tech.DefaultPlanningLibrary018() }, true},
-		// astar returns identical path costs but may break tree tie-breaks
-		// differently, so it keys separately. The dial/heap aliasing half of
-		// SearchKernel's treatment is asserted below the sweep.
-		"SearchKernel": {func(p *core.Params) { p.SearchKernel = route.KernelAstar }, true},
-		"SteinerMode":  {func(p *core.Params) { p.SteinerMode = core.SteinerCostDist }, true},
-		"MCFPhases":    {func(p *core.Params) { p.MCFPhases = 20 }, true},
-		"MCFEpsilon":   {func(p *core.Params) { p.MCFEpsilon = 0.2 }, true},
-		"Workers":      {func(p *core.Params) { p.Workers = 3 }, false},
-		"Observer":     {func(p *core.Params) { p.Observer = obs.NewMetrics() }, false},
+		"SteinerMode":       {func(p *core.Params) { p.SteinerMode = core.SteinerCostDist }, true},
+		"MCFPhases":         {func(p *core.Params) { p.MCFPhases = 20 }, true},
+		"MCFEpsilon":        {func(p *core.Params) { p.MCFEpsilon = 0.2 }, true},
+		"Workers":           {func(p *core.Params) { p.Workers = 3 }, false},
+		"Observer":          {func(p *core.Params) { p.Observer = obs.NewMetrics() }, false},
 		// Router workspace pooling is memory reuse, not configuration: the
 		// route.Workspace/adjacency machinery is mechanically equivalent to
 		// the unpooled path (golden fixtures prove byte identity), so a
@@ -119,15 +114,6 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 	for i := 0; i < pt.NumField(); i++ {
 		if _, ok := mutations[pt.Field(i).Name]; !ok {
 			t.Errorf("core.Params field %s has no entry in the key-sensitivity table; decide its cache treatment", pt.Field(i).Name)
-		}
-	}
-	// "heap", the empty default and the retired "dial" run the same search
-	// (route.CanonicalKernel), so they must share one content address.
-	for _, kernel := range []string{route.KernelHeap, "dial"} {
-		p := core.DefaultParams()
-		p.SearchKernel = kernel
-		if k, _ := PlanKey(c, p); k != base {
-			t.Errorf("SearchKernel %q minted its own key; byte-identical kernels must alias", kernel)
 		}
 	}
 	// RouteOpt sub-fields that must reach the key (Weight is rejected,

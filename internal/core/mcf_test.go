@@ -1,12 +1,17 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
+// TestMCFStage2Alternative: the mcf engine's multicommodity-flow Stage 2
+// replaces the Stage-1 routes wholesale; it must leave no overflow, the
+// buffer DP must still place buffers, and the graph's wire accounting must
+// stay consistent with the substituted routes.
 func TestMCFStage2Alternative(t *testing.T) {
 	c := smallCircuit(t, 9, 35, 12, 12, 3, 4)
-	p := DefaultParams()
-	p.UseMCFRouter = true
-	res, err := Run(c, p)
+	res, err := RunMCFContext(context.Background(), c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,35 +57,21 @@ type Params struct {
 	// DisableDemandTerm zeroes the probabilistic p(v) term of Eq. (2)
 	// (for ablations of the Stage-3 cost).
 	DisableDemandTerm bool
-	// UseMCFRouter replaces the Stage-2 rip-up-and-reroute with the
-	// multicommodity-flow global router — the alternative the paper names
-	// ("e.g., the multicommodity flow-based approach of [1]").
-	UseMCFRouter bool
 	// MCFPhases and MCFEpsilon expose the multicommodity-flow router's
 	// knobs (see mcf.Options): the number of routing phases and the
 	// exponential length step. Zero means the engine default (12 phases,
 	// epsilon 0.3). Both are result-affecting and flow into the
-	// content-addressed cache key; they only matter on the mcf paths
-	// (UseMCFRouter or the "mcf" backend) but are validated up front for
-	// every run so a bad value fails fast rather than mid-pipeline.
+	// content-addressed cache key; only the "mcf" backend reads them, and
+	// backend.Normalize refuses non-zero values on any other engine.
 	MCFPhases  int
 	MCFEpsilon float64
-	// SearchKernel selects the pop order of the Stage-4 search ("heap",
-	// "astar"; "" and the retired "dial" mean "heap" — see
-	// route.CanonicalKernel). Stage 2 always runs the heap. "astar" returns
-	// identical path costs with fewer pops (popped order — and hence tree
-	// tie-breaks — may differ, so it mints its own cache key). The run
-	// always sets RouteOpt.Kernel from this field; a value set there
-	// directly is ignored.
-	SearchKernel string
 	// SteinerMode selects the Stage-1 construction objective ("pd",
 	// "costdist"; "" means "pd"). "pd" is the paper's Prim–Dijkstra
 	// tradeoff tree at Alpha. "costdist" builds Held–Perner-style
 	// cost-distance trees with per-net weight 1/L, and reroutes Stage 2 at
-	// alpha = 1 (pure congestion-priced shortest paths, on the heap under
-	// every SearchKernel): the tradeoff is carried per net by the
-	// construction objective instead of the global Alpha, so the reroute
-	// can optimize distance under congestion alone.
+	// alpha = 1 (pure congestion-priced shortest paths): the tradeoff is
+	// carried per net by the construction objective instead of the global
+	// Alpha, so the reroute can optimize distance under congestion alone.
 	SteinerMode string
 	// Backend names the planning engine ("rabid", "rabid+lib", "mcf"; ""
 	// means "rabid"). The core pipeline does not dispatch on it — that is
@@ -135,6 +121,35 @@ const (
 
 // SteinerModes lists the accepted Stage-1 construction objectives.
 func SteinerModes() []string { return []string{SteinerPD, SteinerCostDist} }
+
+// Validate checks the engine-independent rules on p: at least one rip-up
+// pass, a known Steiner mode, mcf knobs in range (0 means the engine
+// default) and a well-formed buffer library. It is the one owner of these
+// rules: every pipeline checks them before it starts, and
+// backend.Normalize before a request is keyed, so a bad value is a client
+// error rather than a failed run.
+func (p Params) Validate() error {
+	if p.MaxRipupPasses < 1 {
+		return fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
+	}
+	switch p.SteinerMode {
+	case "", SteinerPD, SteinerCostDist:
+	default:
+		return fmt.Errorf("core: unknown steiner mode %q (want %v)", p.SteinerMode, SteinerModes())
+	}
+	if p.MCFPhases < 0 {
+		return fmt.Errorf("core: MCFPhases %d < 0", p.MCFPhases)
+	}
+	if p.MCFEpsilon != 0 && !(p.MCFEpsilon > 0 && p.MCFEpsilon < 1) {
+		return fmt.Errorf("core: MCFEpsilon %g outside (0,1)", p.MCFEpsilon)
+	}
+	for i, g := range p.Library {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("core: library gate %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // DefaultParams returns the paper's parameter set.
 func DefaultParams() Params {
@@ -240,21 +255,24 @@ type siteCheck struct {
 // the delay evaluation's.
 type evalSlot struct {
 	steiner steiner.Scratch
-	netEval
+	NetEval
 }
 
-// netEval is the memory of one net's delay evaluation, reused across nets:
-// the Elmore pass's arrays and the chosen gates expanded.
-type netEval struct {
+// NetEval is the memory of one net's delay evaluation, reused across nets:
+// the Elmore pass's arrays and the chosen gates expanded. The zero value is
+// ready to use; one NetEval serves one goroutine at a time. It is how every
+// reader of a Result prices a net — the stage snapshots, Result.Report, the
+// timing-driven retime and the layer evaluation — so they agree on delays.
+type NetEval struct {
 	sc    delay.Scratch
 	gates []tech.Gate
 }
 
-// delays evaluates the sink delays of route rt under assignment a with the
+// Delays evaluates the sink delays of route rt under assignment a with the
 // gates the DP actually chose: the single planning buffer when a.Gates is
-// nil, or lib[g] for each buffer's library gate g. The result lives in the
-// scratch until its next use.
-func (ne *netEval) delays(e delay.Evaluator, lib []tech.LibGate, rt *rtree.Tree, a bufferdp.Assignment) ([]float64, error) {
+// nil, or lib[g] for each buffer's library gate g (lib is the run's
+// Params.Library). The result lives in the scratch until its next use.
+func (ne *NetEval) Delays(e delay.Evaluator, lib []tech.LibGate, rt *rtree.Tree, a bufferdp.Assignment) ([]float64, error) {
 	if a.Gates == nil {
 		return e.SinkDelaysInto(&ne.sc, rt, a.Buffers, nil)
 	}
@@ -292,22 +310,17 @@ func RunContext(ctx context.Context, c *netlist.Circuit, p Params) (*Result, err
 	}, p.SkipStage4)
 }
 
-// RunMCF executes the multicommodity-flow buffered-routing pipeline (the
-// "mcf" planning backend): Stage 1 builds the initial Steiner routes and
-// the calibrated tile graph exactly as the rabid pipeline does; Stage 2
+// RunMCFContext executes the multicommodity-flow buffered-routing pipeline
+// (the "mcf" planning backend): Stage 1 builds the initial Steiner routes
+// and the calibrated tile graph exactly as the rabid pipeline does; Stage 2
 // replaces rip-up-and-reroute with the full fractional MCF relaxation —
 // site-aware edge lengths pricing buffer scarcity into the length system,
 // approximate dual updates, deterministic seeded rounding, greedy repair;
 // Stage 3 runs the length-based buffer DP under the Eq. (2) site cost. The
 // paper's Stage-4 post-processing is rabid-specific (it splices two-paths
-// against the incremental router) and is not part of this engine.
-func RunMCF(c *netlist.Circuit, p Params) (*Result, error) {
-	return RunMCFContext(context.Background(), c, p) //rabid:allow ctxflow RunMCF is the documented Background wrapper over RunMCFContext for context-free callers (tables, benches); service paths call RunMCFContext
-}
-
-// RunMCFContext is RunMCF with cooperative cancellation, with the same
-// checkpoint contract as RunContext (stage boundaries, MCF phase and
-// per-net boundaries, per-net DP assignments, worker-pool dispatch).
+// against the incremental router) and is not part of this engine. It has
+// the same checkpoint contract as RunContext (stage boundaries, MCF phase
+// and per-net boundaries, per-net DP assignments, worker-pool dispatch).
 func RunMCFContext(ctx context.Context, c *netlist.Circuit, p Params) (*Result, error) {
 	st, err := newState(ctx, c, p)
 	if err != nil {
@@ -330,33 +343,8 @@ func newState(ctx context.Context, c *netlist.Circuit, p Params) (*state, error)
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if p.MaxRipupPasses < 1 {
-		return nil, fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
-	}
-	// Params.SearchKernel is the request-level spelling; the router reads
-	// Options.Kernel, so it lands once here and every Stage-2/Stage-4
-	// Options copy below inherits it. Setting it unconditionally makes Run
-	// and backend.Plan agree on the same Params.
-	kernel, err := route.CanonicalKernel(p.SearchKernel)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	p.RouteOpt.Kernel = kernel
-	switch p.SteinerMode {
-	case "", SteinerPD, SteinerCostDist:
-	default:
-		return nil, fmt.Errorf("core: unknown steiner mode %q (want %v)", p.SteinerMode, SteinerModes())
-	}
-	if p.MCFPhases < 0 {
-		return nil, fmt.Errorf("core: MCFPhases %d < 0", p.MCFPhases)
-	}
-	if p.MCFEpsilon != 0 && (p.MCFEpsilon <= 0 || p.MCFEpsilon >= 1) {
-		return nil, fmt.Errorf("core: MCFEpsilon %g outside (0,1)", p.MCFEpsilon)
-	}
-	for i, g := range p.Library {
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("core: library gate %d: %w", i, err)
-		}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	eval, err := delay.NewEvaluator(p.Tech, c.TileUm)
 	if err != nil {
@@ -519,31 +507,15 @@ func (s *state) stage1() error {
 	return s.refreshDelays()
 }
 
-// stage2 reduces wire congestion by whole-net rip-up and reroute, or by
-// the multicommodity-flow router when configured.
+// stage2 reduces wire congestion by whole-net rip-up and reroute.
 func (s *state) stage2() error {
-	if s.p.UseMCFRouter {
-		mopt := mcf.Options{RouteOpt: s.p.RouteOpt, Obs: s.obs,
-			Phases: s.p.MCFPhases, Epsilon: s.p.MCFEpsilon}
-		mopt.RouteOpt.Stage = 2
-		res, err := mcf.RouteCtx(s.ctx, s.g, s.c.Nets, mopt)
-		if err != nil {
-			return err
-		}
-		for i, rt := range res.Routes {
-			route.RemoveUsage(s.g, s.routes[i])
-			s.routes[i] = rt
-			route.AddUsage(s.g, rt)
-		}
-		return s.refreshDelays()
-	}
 	order := s.orderByDelay(false) // smallest delay first
 	opt := s.p.RouteOpt
 	opt.Obs, opt.Stage = s.obs, 2
 	if s.p.SteinerMode == SteinerCostDist {
 		// Cost-distance mode carries the radius/wirelength tradeoff per net
 		// in the Stage-1 objective, so the reroute optimizes congestion-
-		// priced distance alone. Like every Stage 2, it runs the heap.
+		// priced distance alone.
 		opt.Alpha = 1
 	}
 	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws); err != nil {
@@ -866,14 +838,14 @@ func dpLibrary(buf []bufferdp.LibGate, lib []tech.LibGate, base tech.Gate, L int
 }
 
 // sinkDelays evaluates net i's sink delays on route rt with the gates the
-// DP actually chose (see netEval.delays); a net without an assignment yet
+// DP actually chose (see NetEval.Delays); a net without an assignment yet
 // is unbuffered. The result lives in the slot's scratch until its next use.
 func (s *state) sinkDelays(sl *evalSlot, rt *rtree.Tree, i int) ([]float64, error) {
 	var a bufferdp.Assignment
 	if s.hasAsg[i] {
 		a = s.asg[i]
 	}
-	return sl.delays(s.eval, s.p.Library, rt, a)
+	return sl.Delays(s.eval, s.p.Library, rt, a)
 }
 
 // evalSlots sizes the per-worker-slot scratch for a fan-out over n nets.

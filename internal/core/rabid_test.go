@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/tech"
 )
 
 // smallCircuit builds a compact deterministic instance that runs fast.
@@ -218,6 +221,42 @@ func TestRunRejectsBadInput(t *testing.T) {
 	p.MaxRipupPasses = 0
 	if _, err := Run(c, p); err == nil {
 		t.Error("zero passes accepted")
+	}
+}
+
+// TestParamsValidate pins the engine-independent Params rules, which both
+// pipelines check before they start: each bad value is refused by
+// Validate, Run and RunMCFContext alike, and in-range values pass.
+func TestParamsValidate(t *testing.T) {
+	c := smallCircuit(t, 8, 5, 8, 8, 2, 3)
+	bad := map[string]func(*Params){
+		"zero passes":       func(p *Params) { p.MaxRipupPasses = 0 },
+		"steiner mode":      func(p *Params) { p.SteinerMode = "rsmt" },
+		"negative phases":   func(p *Params) { p.MCFPhases = -1 },
+		"epsilon too large": func(p *Params) { p.MCFEpsilon = 1.5 },
+		"epsilon NaN":       func(p *Params) { p.MCFEpsilon = math.NaN() },
+		"library gate": func(p *Params) {
+			p.Library = []tech.LibGate{{Name: "dud", OutRes: -1, InCap: 1, Intrinsic: 1, AreaCost: 1}}
+		},
+	}
+	for name, mutate := range bad {
+		p := DefaultParams()
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := Run(c, p); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+		if _, err := RunMCFContext(context.Background(), c, p); err == nil {
+			t.Errorf("%s: RunMCFContext accepted it", name)
+		}
+	}
+	p := DefaultParams()
+	p.SteinerMode, p.MCFPhases, p.MCFEpsilon = SteinerCostDist, 4, 0.2
+	p.Library = tech.DefaultPlanningLibrary018()
+	if err := p.Validate(); err != nil {
+		t.Errorf("in-range params refused: %v", err)
 	}
 }
 

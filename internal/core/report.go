@@ -80,7 +80,7 @@ func (r *Result) Report() (*Report, error) {
 	}
 	// Each net is priced with the gates its assignment chose, as the final
 	// stage's delay columns are, and on one scratch reused across nets.
-	var ne netEval
+	var ne NetEval
 	for i, n := range r.Circuit.Nets {
 		a := r.Assignments[i]
 		nr := NetReport{
@@ -92,7 +92,7 @@ func (r *Result) Report() (*Report, error) {
 			Feasible:   a.Feasible(),
 			Violations: a.Violations,
 		}
-		if ds, err := ne.delays(eval, r.Params.Library, r.Routes[i], a); err == nil {
+		if ds, err := ne.Delays(eval, r.Params.Library, r.Routes[i], a); err == nil {
 			for _, d := range ds {
 				if ps := d * 1e12; ps > nr.MaxDelayPs {
 					nr.MaxDelayPs = ps

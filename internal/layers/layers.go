@@ -146,7 +146,8 @@ func (a *Assignment) Apply(c *netlist.Circuit) *netlist.Circuit {
 }
 
 // Evaluate computes max/avg sink delay over a completed run with each
-// net's wire parasitics taken from its assigned layer.
+// net's wire parasitics taken from its assigned layer and each buffer
+// priced as the gate its assignment chose.
 func (a *Assignment) Evaluate(res *core.Result, base tech.Tech) (maxPs, avgPs float64, err error) {
 	evals := make([]delay.Evaluator, len(a.Stack))
 	for i, l := range a.Stack {
@@ -156,8 +157,9 @@ func (a *Assignment) Evaluate(res *core.Result, base tech.Tech) (maxPs, avgPs fl
 		}
 	}
 	var st delay.Stats
+	var ne core.NetEval
 	for i, rt := range res.Routes {
-		ds, err := evals[a.LayerOf[i]].SinkDelays(rt, res.Assignments[i].Buffers)
+		ds, err := ne.Delays(evals[a.LayerOf[i]], res.Params.Library, rt, res.Assignments[i])
 		if err != nil {
 			return 0, 0, err
 		}

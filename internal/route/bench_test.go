@@ -97,35 +97,6 @@ func reportWavefront(b *testing.B, m *obs.Metrics, popsKey, relaxKey string) {
 	b.ReportMetric(m.Counter(relaxKey), "relaxations/op")
 }
 
-// BenchmarkBufferAwarePathKernel is the kernel matrix for the Stage-4
-// (tile, j) maze — the pipeline's dominant pops source, and the only search
-// the kernel choice reaches (pure Dijkstra, consistent heuristic,
-// goal-directed long two-point path).
-func BenchmarkBufferAwarePathKernel(b *testing.B) {
-	for _, kernel := range Kernels() {
-		b.Run(kernel, func(b *testing.B) {
-			g, tail, head, blocked := benchPathInstance(b)
-			opt := DefaultOptions()
-			opt.Kernel = kernel
-			probe := opt
-			probe.Obs = obs.NewMetrics()
-			ws := NewWorkspace()
-			if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, probe, ws); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, opt, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportWavefront(b, probe.Obs.(*obs.Metrics), "route.bap.pops", "route.bap.relaxations")
-		})
-	}
-}
-
 // benchPathInstance is the Stage-4 search instance of the path benchmarks
 // and the allocation test: a long two-path across the congested bench
 // workload, with one net's tree as the blocked mask.
@@ -159,10 +130,16 @@ func benchIncumbent(tb testing.TB, g *tile.Graph, tail, head geom.Pt, blocked []
 }
 
 // BenchmarkBufferAwarePath measures the Stage-4 (tile, j) combined-cost maze
-// on a long two-path with a blocked tree mask.
+// — the pipeline's dominant pops source — on a long two-path with a blocked
+// tree mask and no incumbent.
 func BenchmarkBufferAwarePath(b *testing.B) {
 	g, tail, head, blocked := benchPathInstance(b)
+	probe := DefaultOptions()
+	probe.Obs = obs.NewMetrics()
 	ws := NewWorkspace()
+	if _, err := BufferAwarePath(g, tail, head, 6, blocked, nil, probe, ws); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -170,6 +147,8 @@ func BenchmarkBufferAwarePath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	reportWavefront(b, probe.Obs.(*obs.Metrics), "route.bap.pops", "route.bap.relaxations")
 }
 
 // BenchmarkBufferAwarePathIncumbent is BenchmarkBufferAwarePath with an

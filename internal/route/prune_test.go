@@ -39,14 +39,6 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	ws.growStates(nt * L)
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
-	kern, err := CanonicalKernel(opt.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	astar := kern == KernelAstar
-	if astar {
-		ws.oracleArmPath(g, headIdx, blocked, &opt)
-	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
 	ws.sStamp[start] = ep
 	ws.sDist[start] = 0
@@ -58,12 +50,6 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
 		pushes = 1
-		if astar {
-			// The arming reverse Dijkstra is real queue work; charging it
-			// here keeps the per-kernel pops/relaxations comparison honest.
-			pops += ws.astar.armPops
-			relaxations += ws.astar.armRelax
-		}
 	}
 	for len(ws.q) > 0 {
 		it := ws.popPQ()
@@ -91,10 +77,6 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 				relaxations++
 			}
 			wc := ws.edgeCostMemo(g, int(edges[x]), &opt)
-			var hw float64
-			if astar {
-				hw = ws.oracleHPath(w)
-			}
 			// Advance without buffering.
 			if j+1 < L {
 				ns := w*L + j + 1
@@ -107,7 +89,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.pushPQ(pqItem{ns, nd + hw})
+					ws.pushPQ(pqItem{ns, nd})
 					if tally {
 						pushes++
 					}
@@ -124,7 +106,7 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 				ws.sDist[ns] = nd
 				//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 				ws.sPred[ns] = int32(s)
-				ws.pushPQ(pqItem{ns, nd + hw})
+				ws.pushPQ(pqItem{ns, nd})
 				if tally {
 					pushes++
 				}
@@ -149,55 +131,6 @@ func bufferAwarePathOracle(g *tile.Graph, tail, head geom.Pt, L int, blocked []b
 	ws.path = rev
 	// rev is head..tail already (we traced from the head state back).
 	return rev, nil
-}
-
-// oracleArmPath and oracleHPath are the oracle's A* heuristic as it was:
-// the uncapped reverse Dijkstra and its lookup.
-func (ws *Workspace) oracleArmPath(g *tile.Graph, head int, blocked []bool, opt *Options) {
-	a := &ws.astar
-	nt := g.NumTiles()
-	if len(a.hd) < nt {
-		a.hd = make([]float64, nt)
-		a.hs = make([]uint64, nt)
-	}
-	a.armPops, a.armRelax = 0, 0
-	ep := ws.epoch
-	a.hd[head] = 0
-	a.hs[head] = ep
-	ws.q = ws.q[:0]
-	ws.pushPQ(pqItem{head, 0})
-	for len(ws.q) > 0 {
-		it := ws.popPQ()
-		a.armPops++
-		u := it.node
-		if it.key > a.hd[u] {
-			continue // stale entry, superseded by a better push
-		}
-		// Expanding u corresponds to a forward move v -> u, which the main
-		// search permits only into unblocked tiles (the head excepted).
-		if u != head && blocked != nil && blocked[u] {
-			continue
-		}
-		nbrs, edges := g.Adjacency(u)
-		for x, v32 := range nbrs {
-			v := int(v32)
-			a.armRelax++
-			d := it.key + ws.edgeCostMemo(g, int(edges[x]), opt)
-			if a.hs[v] != ep || d < a.hd[v] {
-				a.hs[v] = ep
-				a.hd[v] = d
-				ws.pushPQ(pqItem{v, d})
-			}
-		}
-	}
-}
-
-func (ws *Workspace) oracleHPath(t int) float64 {
-	a := &ws.astar
-	if a.hs[t] != ws.epoch {
-		return math.Inf(1) // the head is unreachable from t
-	}
-	return a.hd[t]
 }
 
 // headCost returns the cost of the head state a BufferAwarePath call
@@ -329,16 +262,28 @@ func randomPathInstance(t *testing.T, r *rand.Rand, trial int) pathInstance {
 	return in
 }
 
+// hArmed reports whether the workspace's last search armed h: armPathBound
+// stamps the head tile first.
+func hArmed(ws *Workspace, head int) bool {
+	return head < len(ws.h.stamp) && ws.h.stamp[head] == ws.epoch
+}
+
+// pruneTally sums what checkAgainstOracle observes: the oracle's pops, the
+// pruned search's pops and pushes without an incumbent and its pushes with
+// the near one (as opt.Obs counts them), and the calls that armed h.
+type pruneTally struct {
+	oraclePops, pops, pushes, boundPushes float64
+	armed                                 int
+}
+
 // checkAgainstOracle runs the oracle on in under opt, then the pruned
 // search with no incumbent, each of the instance's walks and the optimal
 // path itself (the tightest bound, where only the rounding slack separates
 // the returned chain from pruned states), all on ws. It fails unless every
 // call returns the oracle's error, path and bit-for-bit head cost, and
-// (heap) unless the incumbent pass prices the optimal path at exactly that
-// head cost. It returns the oracle's pops, and the pruned search's pops and pushes
-// without an incumbent and pushes with the near one, as opt.Obs counts
-// them.
-func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspace, label string) (oraclePops, pops, pushes, boundPushes float64) {
+// unless the incumbent pass prices the optimal path at exactly that head
+// cost. It adds what it observed to tally.
+func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspace, label string, tally *pruneTally) {
 	t.Helper()
 	g, L := in.g, in.L
 	counter := func(k string) float64 {
@@ -350,50 +295,54 @@ func checkAgainstOracle(t *testing.T, in pathInstance, opt Options, ws *Workspac
 	want, werr := bufferAwarePathOracle(g, in.tail, in.head, L, in.blocked, opt, ws)
 	want = slices.Clone(want)
 	wantCost := headCost(ws, g, in.head, L)
-	oraclePops = counter("route.bap.pops")
+	tally.oraclePops += counter("route.bap.pops")
 	optimal := slices.Clone(want)
 	slices.Reverse(optimal)
 	// Under cost-ordered pops the head cost is the optimum itself, and the
 	// incumbent pass, pricing the optimal walk with the search's own float
-	// operations, must reproduce it bit for bit. (astar can settle one ulp
-	// above the optimum; see TestBufferAwarePathAstarTieRegression.)
-	if werr == nil && opt.Kernel != KernelAstar {
+	// operations, must reproduce it bit for bit.
+	if werr == nil {
 		ws.begin(g.NumEdges())
 		if u, ok := ws.incumbentCost(g, optimal, in.tail, in.head, L, in.blocked, &opt); !ok || math.Float64bits(u) != math.Float64bits(wantCost) {
-			t.Fatalf("%s %s: incumbent cost of the optimal path = %v (ok=%v), search cost %v", label, opt.Kernel, u, ok, wantCost)
+			t.Fatalf("%s: incumbent cost of the optimal path = %v (ok=%v), search cost %v", label, u, ok, wantCost)
 		}
 	}
+	headIdx := g.TileIndex(in.head)
 	for ci, inc := range [][]geom.Pt{nil, in.near, in.far, optimal, in.broken} {
 		p0, q0 := counter("route.bap.pops"), counter("route.bap.pushes")
 		got, gerr := BufferAwarePath(g, in.tail, in.head, L, in.blocked, inc, opt, ws)
 		switch ci {
 		case 0:
-			pops, pushes = counter("route.bap.pops")-p0, counter("route.bap.pushes")-q0
+			tally.pops += counter("route.bap.pops") - p0
+			tally.pushes += counter("route.bap.pushes") - q0
 		case 1:
-			boundPushes = counter("route.bap.pushes") - q0
+			tally.boundPushes += counter("route.bap.pushes") - q0
+		}
+		if hArmed(ws, headIdx) {
+			tally.armed++
 		}
 		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
-			t.Fatalf("%s %s incumbent %d: err oracle=%v pruned=%v", label, opt.Kernel, ci, werr, gerr)
+			t.Fatalf("%s incumbent %d: err oracle=%v pruned=%v", label, ci, werr, gerr)
 		}
 		if werr != nil {
 			continue
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s %s L=%d incumbent %d %v->%v: path\n pruned %v\n oracle %v", label, opt.Kernel, L, ci, in.tail, in.head, got, want)
+			t.Fatalf("%s L=%d incumbent %d %v->%v: path\n pruned %v\n oracle %v", label, L, ci, in.tail, in.head, got, want)
 		}
 		if c := headCost(ws, g, in.head, L); math.Float64bits(c) != math.Float64bits(wantCost) {
-			t.Fatalf("%s %s incumbent %d: head cost pruned=%v oracle=%v", label, opt.Kernel, ci, c, wantCost)
+			t.Fatalf("%s incumbent %d: head cost pruned=%v oracle=%v", label, ci, c, wantCost)
 		}
 	}
-	return oraclePops, pops, pushes, boundPushes
 }
 
 // TestBufferAwarePathMatchesOracle is the equivalence contract of the
 // pruned Stage-4 search: on random instances (see randomPathInstance) it
 // must return exactly the oracle's path, error and bit-for-bit head cost,
-// under the heap and astar kernels, with and without incumbents (see
-// checkAgainstOracle). Every call shares one dirty workspace, interleaved
-// with Reroutes that reuse the tile arrays the dominance record borrows.
+// with and without incumbents (see checkAgainstOracle); the legal
+// incumbents at L >= 3 arm h, and the test requires that some did. Every
+// call shares one dirty workspace, interleaved with Reroutes that reuse the
+// tile arrays the dominance record borrows.
 func TestBufferAwarePathMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(20261017))
 	ws := NewWorkspace()
@@ -401,8 +350,7 @@ func TestBufferAwarePathMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		trials = 200
 	}
-	calls := 0
-	var popsOracle, popsPlain, pushesPlain, pushesBound float64
+	var tally pruneTally
 	for trial := 0; trial < trials; trial++ {
 		in := randomPathInstance(t, r, trial)
 		if trial%4 == 0 {
@@ -412,46 +360,23 @@ func TestBufferAwarePathMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, kernel := range Kernels() {
-			opt := DefaultOptions()
-			opt.Kernel = kernel
-			if trial%7 == 0 {
-				opt.LengthWeight = 0 // more exact cost ties
-			}
-			if trial%2 == 1 {
-				opt.Obs = obs.NewMetrics()
-			}
-			o, p, q, b := checkAgainstOracle(t, in, opt, ws, fmt.Sprintf("trial %d", trial))
-			calls += 5
-			popsOracle += o
-			popsPlain += p
-			pushesPlain += q
-			pushesBound += b
+		opt := DefaultOptions()
+		if trial%7 == 0 {
+			opt.LengthWeight = 0 // more exact cost ties
 		}
+		if trial%2 == 1 {
+			opt.Obs = obs.NewMetrics()
+		}
+		checkAgainstOracle(t, in, opt, ws, fmt.Sprintf("trial %d", trial), &tally)
 	}
-	t.Logf("%d pruned calls matched the oracle; observed pops: oracle %.0f, pruned %.0f; pushes: pruned %.0f, with the near incumbent %.0f",
-		calls, popsOracle, popsPlain, pushesPlain, pushesBound)
-	if popsPlain >= popsOracle || pushesBound >= pushesPlain {
-		t.Fatalf("pruning not engaging: pops oracle %.0f, pruned %.0f; pushes pruned %.0f, bounded %.0f", popsOracle, popsPlain, pushesPlain, pushesBound)
+	t.Logf("%d pruned calls matched the oracle, %d with h armed; observed pops: oracle %.0f, pruned %.0f; pushes: pruned %.0f, with the near incumbent %.0f",
+		5*trials, tally.armed, tally.oraclePops, tally.pops, tally.pushes, tally.boundPushes)
+	if tally.armed == 0 {
+		t.Fatal("no call armed h: the incumbent cases at L >= 3 are not exercised")
 	}
-}
-
-// TestBufferAwarePathAstarTieRegression replays the instance that showed
-// why the astar kernel keeps dominated states: its penalty-priced costs
-// make two same-tile labels one ulp apart whose cost + h keys tie, so the
-// astar oracle pops the costlier label first and reaches the head one ulp
-// above the optimum. Skipping the dominated push there let the cheaper
-// label through and returned a different path.
-func TestBufferAwarePathAstarTieRegression(t *testing.T) {
-	const seed, target = 31337, 13492
-	r := rand.New(rand.NewSource(seed))
-	for trial := 0; trial < target; trial++ {
-		randomPathInstance(t, r, trial) // advance the generator
+	if tally.pops >= tally.oraclePops || tally.boundPushes >= tally.pushes {
+		t.Fatalf("pruning not engaging: pops oracle %.0f, pruned %.0f; pushes pruned %.0f, bounded %.0f", tally.oraclePops, tally.pops, tally.pushes, tally.boundPushes)
 	}
-	in := randomPathInstance(t, r, target)
-	opt := DefaultOptions()
-	opt.Kernel = KernelAstar
-	checkAgainstOracle(t, in, opt, NewWorkspace(), fmt.Sprintf("seed %d trial %d", seed, target))
 }
 
 // TestIncumbentCost pins the incumbent pass: on the optimal reconnection it

@@ -37,12 +37,6 @@ type Options struct {
 	// lengths this way; the entries must be non-negative and must not
 	// change during a call.
 	Weight []float64
-	// Kernel selects the pop order of the Stage-4 search, BufferAwarePath:
-	// KernelHeap (cost order, the default; "" means heap) or KernelAstar
-	// (cost plus an exact lower bound on the remaining cost: identical path
-	// costs, fewer pops). Stage 2 — Reroute and RipupPass — always runs the
-	// heap. See kernel.go and DESIGN.md "Search kernels".
-	Kernel string
 	// Obs receives router telemetry: per-net wavefront pop/push counters,
 	// rip-up pass spans with the per-pass overflow trajectory, and
 	// congestion-heat snapshots after every pass. nil (the default)
@@ -96,7 +90,7 @@ func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt *Options) float64 {
 // (see RemoveUsage). The route is a union of wavefront paths from the
 // source tile to every sink tile, traced back through the predecessor
 // labels, exactly as described for Stage 2. The wavefront is the plain
-// binary-heap expansion under every Options.Kernel.
+// binary-heap expansion.
 //
 // ws supplies the reusable scratch arrays and recycled tree storage; nil is
 // allowed (a private workspace is allocated). With a warmed workspace and a
@@ -316,11 +310,11 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 	}
 	// With an observer attached, interpose a counting tap: it forwards
 	// every event unchanged (streams stay byte-identical) while summing the
-	// per-net route.pops / route.relaxations counters, so the per-kernel
-	// totals below reflect exactly the emitted event stream.
-	var tap *kernelTap
+	// per-net route.pops / route.relaxations counters, so the totals below
+	// reflect exactly the emitted event stream.
+	var tap *wavefrontTap
 	if opt.Obs != nil {
-		tap = &kernelTap{inner: opt.Obs}
+		tap = &wavefrontTap{inner: opt.Obs}
 		opt.Obs = tap
 	}
 	passes := 0
@@ -354,27 +348,26 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 			break
 		}
 	}
-	// Kernel-labeled wavefront totals, emitted once per Stage-2 call, not
-	// per pass, and zero-valued when no pass ran, so cmd/metricscheck can
-	// require route.pops.heap.<stage> whenever an observer is attached.
-	// Stage 2 always runs the heap, so the label is heap under every
-	// Options.Kernel.
+	// Wavefront totals labeled by the queue they popped from (the binary
+	// heap), emitted once per Stage-2 call, not per pass, and zero-valued
+	// when no pass ran, so cmd/metricscheck can require
+	// route.pops.heap.<stage> whenever an observer is attached.
 	if tap != nil {
-		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.pops." + KernelHeap, Stage: opt.Stage, Net: -1, Value: tap.pops})
-		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.relaxations." + KernelHeap, Stage: opt.Stage, Net: -1, Value: tap.relaxations})
+		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.pops.heap", Stage: opt.Stage, Net: -1, Value: tap.pops})
+		obs.Emit(tap.inner, obs.Event{Kind: obs.KindCounter, Scope: "route.relaxations.heap", Stage: opt.Stage, Net: -1, Value: tap.relaxations})
 	}
 	return passes, nil
 }
 
-// kernelTap is a pass-through observer that totals the per-net wavefront
-// counters flowing by; ReduceCongestionCtx uses it to emit per-kernel
-// aggregates without a second bookkeeping path in the hot loops.
-type kernelTap struct {
+// wavefrontTap is a pass-through observer that totals the per-net
+// wavefront counters flowing by; ReduceCongestionCtx uses it to emit the
+// Stage-2 aggregates without a second bookkeeping path in the hot loops.
+type wavefrontTap struct {
 	inner             obs.Observer
 	pops, relaxations float64
 }
 
-func (t *kernelTap) Observe(e obs.Event) {
+func (t *wavefrontTap) Observe(e obs.Event) {
 	if e.Kind == obs.KindCounter {
 		switch e.Scope {
 		case "route.pops":
@@ -431,7 +424,7 @@ func siteCostClamped(g *tile.Graph, v int, opt *Options) float64 {
 // below the slack.
 const boundSlack = 1e-9
 
-// boundMinL is the smallest length constraint at which the heap kernel
+// boundMinL is the smallest length constraint at which BufferAwarePath
 // arms the reverse-Dijkstra h of the incumbent bound. Below it a
 // tile carries at most two labels, and the tile-level arming search costs
 // more than the (tile, j) work it saves, so the bound runs with h = 0 (see
@@ -450,8 +443,8 @@ const boundMinL = 3
 // incumbent, when non-nil, is a known tail-to-head walk — Stage 4 passes
 // the ripped two-path itself. Its cost under the same recurrence bounds the
 // optimum from above, and states that provably cannot beat it are never
-// pushed. Under the heap kernel, label dominance also skips a state when
-// its tile already expanded a smaller j at no greater cost.
+// pushed. Label dominance also skips a state when its tile already expanded
+// a smaller j at no greater cost.
 // Both prune only states that cannot lie on the returned path: the pop
 // order (cost, then state index) and the first-strict-improvement
 // predecessor rule are those of the plain Dijkstra, so the result is
@@ -485,19 +478,13 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	ws.growTiles(nt)       //rabid:allow allocfree inlined grow path: tile scratch reallocates only when the graph outgrows the workspace
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
-	kern, err := CanonicalKernel(opt.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	astar := kern == KernelAstar
 	limit := math.Inf(1)
 	if u, ok := ws.incumbentCost(g, incumbent, tail, head, L, blocked, &opt); ok {
 		limit = u * (1 + boundSlack)
 	}
-	// h is the astar kernel's heuristic; the heap kernel arms it only for a
-	// finite bound at L >= boundMinL and otherwise prunes with h = 0. Its
-	// pop keys stay the plain costs either way.
-	armed := astar || (L >= boundMinL && !math.IsInf(limit, 1))
+	// h is armed only for a finite bound at L >= boundMinL; otherwise the
+	// bound prunes with h = 0.
+	armed := L >= boundMinL && !math.IsInf(limit, 1)
 	if armed {
 		ws.armPathBound(g, headIdx, blocked, &opt, limit)
 	}
@@ -514,23 +501,17 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 		pushes = 1
 		if armed {
 			// The arming reverse Dijkstra is real queue work; charging it
-			// here keeps the per-kernel pops/relaxations comparison honest.
-			pops += ws.astar.armPops
-			relaxations += ws.astar.armRelax
+			// here keeps the pops/relaxations accounting honest.
+			pops += ws.h.armPops
+			relaxations += ws.h.armRelax
 		}
 	}
 	// Per-tile dominance record, kept in Reroute's tile arrays (the two
 	// searches never share a call): domStamp[t] == ep marks a tile with an
 	// expanded state, domJ[t] is the smallest j expanded there and
-	// domCost[t] that state's cost.
+	// domCost[t] that state's cost. Skipping dominated states is exact
+	// because states pop in cost order.
 	domStamp, domCost, domJ := ws.stamp, ws.key, ws.pred
-	// Skipping dominated states is exact when states pop in cost order, as
-	// under heap. astar pops by cost + h, and keys that tie after
-	// rounding while costs do not can pop a state before a cheaper label
-	// for it arrives; skipping a dominated state there changes which
-	// states are done when, and with it the result. astar therefore keeps
-	// every state and is pruned by the bound alone.
-	dominance := !astar
 	for len(ws.q) > 0 {
 		it := ws.popPQ()
 		if tally {
@@ -549,14 +530,14 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 		ds := ws.sDist[s]
 		// An expanded (v, j') with j' < j at cost <= ds reaches every
 		// state (v, j) reaches, at no greater cost and with no less buffer
-		// slack: skip. Under every kernel, an expanded state of v at cost
-		// <= ds has already offered every (w, 0) at no greater cost, so a
-		// buffer move from here cannot strictly improve one. Costs are
-		// compared explicitly rather than read off the pop order.
+		// slack: skip. An expanded state of v at cost <= ds has already
+		// offered every (w, 0) at no greater cost, so a buffer move from
+		// here cannot strictly improve one. Costs are compared explicitly
+		// rather than read off the pop order.
 		bufMoves := true
 		if domStamp[v] == ep {
 			if domCost[v] <= ds {
-				if dominance && int(domJ[v]) < j {
+				if int(domJ[v]) < j {
 					continue
 				}
 				bufMoves = false
@@ -579,18 +560,15 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 				relaxations++
 			}
 			wc := ws.edgeCostMemo(g, int(edges[x]), &opt)
-			var hw, hk float64 // the lower bound at w, and its share of the pop key
+			var hw float64 // the lower bound at w
 			if armed {
 				hw = ws.pathBound(w)
-				if astar {
-					hk = hw
-				}
 			}
 			// Advance without buffering, unless the bound rules it out or w
 			// already expanded a state (w, j') with j' <= j at cost <= nd,
 			// which dominates (w, j+1).
 			if nd := ds + wc; j+1 < L && nd+hw <= limit &&
-				!(dominance && domStamp[w] == ep && int(domJ[w]) <= j && domCost[w] <= nd) {
+				!(domStamp[w] == ep && int(domJ[w]) <= j && domCost[w] <= nd) {
 				ns := w*L + j + 1
 				if ws.sStamp[ns] != ep {
 					ws.sStamp[ns] = ep
@@ -601,7 +579,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.pushPQ(pqItem{ns, nd + hk})
+					ws.pushPQ(pqItem{ns, nd})
 					if tally {
 						pushes++
 					}
@@ -623,7 +601,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
-					ws.pushPQ(pqItem{ns, nd + hk})
+					ws.pushPQ(pqItem{ns, nd})
 					if tally {
 						pushes++
 					}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 	"repro/internal/tile"
 )
@@ -306,6 +307,32 @@ func TestReduceCongestionZeroOverflowSkipsPass(t *testing.T) {
 	}
 	if !treesEqual(before[0], routes[0]) {
 		t.Error("routes changed despite zero passes")
+	}
+}
+
+// TestKernelLabelFollowsRerouteFallback pins the Stage-2 aggregates to the
+// search Stage 2 runs: Reroute pops from the binary heap, so at the default
+// alpha and at alpha = 1 (the cost-distance mode's Stage 2) the pass's pops
+// and relaxations are all totalled under the heap label.
+func TestKernelLabelFollowsRerouteFallback(t *testing.T) {
+	for _, alpha := range []float64{0.4, 1} {
+		g, nets, routes, order := benchWorkload(t)
+		m := obs.NewMetrics()
+		opt := DefaultOptions()
+		opt.Alpha = alpha
+		opt.Obs = m
+		passes, err := ReduceCongestionCtx(context.Background(), g, nets, routes, order, 1, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if passes != 1 {
+			t.Fatalf("alpha=%v: %d passes, want 1 (the workload must reroute)", alpha, passes)
+		}
+		for _, c := range []string{"pops", "relaxations"} {
+			if got, all := m.Counter("route."+c+".heap"), m.Counter("route."+c); got == 0 || got != all {
+				t.Errorf("alpha=%v: route.%s.heap = %v, want the pass's %v", alpha, c, got, all)
+			}
+		}
 	}
 }
 

@@ -57,8 +57,8 @@ type Workspace struct {
 	// by every search.
 	q []pqItem
 
-	// BufferAwarePath's remaining-cost lower bound (see kernel.go).
-	astar astarState
+	// BufferAwarePath's remaining-cost lower bound (see bound.go).
+	h headDist
 
 	// (tile, j) search state, one entry per state (BufferAwarePath).
 	sStamp []uint64

@@ -227,7 +227,6 @@ type planParams struct {
 	TargetStage1Avg      *float64 `json:"target_stage1_avg,omitempty"`
 	SkipStage4           *bool    `json:"skip_stage4,omitempty"`
 	DisableDemandTerm    *bool    `json:"disable_demand_term,omitempty"`
-	UseMCFRouter         *bool    `json:"use_mcf_router,omitempty"`
 	// Backend selects the planning engine ("rabid", "rabid+lib", "mcf";
 	// absent or empty = "rabid"). Library optionally overrides the buffer
 	// library of "rabid+lib"; parsePlan runs backend.Normalize on the merged
@@ -235,16 +234,13 @@ type planParams struct {
 	// single-type engine is a 400.
 	Backend *string        `json:"backend,omitempty"`
 	Library []tech.LibGate `json:"library,omitempty"`
-	// SearchKernel selects the pop order of the Stage-4 search ("heap",
-	// "astar"; absent, empty or the retired "dial" = "heap"; Stage 2 always
-	// runs the heap) and SteinerMode the Stage-1 construction ("pd",
-	// "costdist"; absent or empty = "pd"). MCFPhases and
-	// MCFEpsilon tune the mcf engine (0 = its defaults). All four are
-	// validated by backend.Normalize and reach the content key.
-	SearchKernel *string  `json:"search_kernel,omitempty"`
-	SteinerMode  *string  `json:"steiner_mode,omitempty"`
-	MCFPhases    *int     `json:"mcf_phases,omitempty"`
-	MCFEpsilon   *float64 `json:"mcf_epsilon,omitempty"`
+	// SteinerMode selects the Stage-1 construction ("pd", "costdist";
+	// absent or empty = "pd"). MCFPhases and MCFEpsilon tune the mcf engine
+	// (0 = its defaults; non-zero on another engine is a 400). All three
+	// are validated by backend.Normalize and reach the content key.
+	SteinerMode *string  `json:"steiner_mode,omitempty"`
+	MCFPhases   *int     `json:"mcf_phases,omitempty"`
+	MCFEpsilon  *float64 `json:"mcf_epsilon,omitempty"`
 }
 
 // apply merges the overrides into p.
@@ -279,17 +275,11 @@ func (pp *planParams) apply(p *core.Params) {
 	if pp.DisableDemandTerm != nil {
 		p.DisableDemandTerm = *pp.DisableDemandTerm
 	}
-	if pp.UseMCFRouter != nil {
-		p.UseMCFRouter = *pp.UseMCFRouter
-	}
 	if pp.Backend != nil {
 		p.Backend = *pp.Backend
 	}
 	if len(pp.Library) > 0 {
 		p.Library = pp.Library
-	}
-	if pp.SearchKernel != nil {
-		p.SearchKernel = *pp.SearchKernel
 	}
 	if pp.SteinerMode != nil {
 		p.SteinerMode = *pp.SteinerMode
@@ -322,8 +312,9 @@ func parsePlan(req *planRequest) (*netlist.Circuit, core.Params, string, error) 
 	p := core.DefaultParams()
 	req.Params.apply(&p)
 	// Normalize before deriving the key: "" and "rabid" must share one
-	// content address, and "rabid+lib" must have its default library
-	// spelled out in the key material.
+	// content address, "rabid+lib" must have its default library spelled
+	// out in the key material, and params no engine could run are a 400
+	// that never takes a run slot.
 	p, err = backend.Normalize(p)
 	if err != nil {
 		return nil, core.Params{}, "", err

@@ -33,14 +33,16 @@ func RetimeCriticalNets(res *core.Result, k int, lib []tech.Gate) ([]RetimeRepor
 	if err != nil {
 		return nil, err
 	}
-	// Rank nets by their current max sink delay.
+	// Rank nets by their current max sink delay, each buffer priced as the
+	// gate its assignment chose (as the run's own stage snapshots are).
 	type ranked struct {
 		idx int
 		max float64
 	}
 	var order []ranked
+	var ne core.NetEval
 	for i, rt := range res.Routes {
-		ds, err := eval.SinkDelays(rt, res.Assignments[i].Buffers)
+		ds, err := ne.Delays(eval, res.Params.Library, rt, res.Assignments[i])
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/flow"
 	"repro/internal/layers"
-	"repro/internal/mcf"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/route"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/slew"
 	"repro/internal/tech"
 	"repro/internal/textable"
-	"repro/internal/tile"
 	"repro/internal/vanginneken"
 	"repro/internal/viz"
 )
@@ -265,27 +263,6 @@ func AnalyzeDecap(res *Result) (*DecapReport, error) {
 	return decap.Analyze(res.Circuit, res.Graph)
 }
 
-// --- multicommodity-flow routing ------------------------------------------
-
-// MCFOptions and MCFResult parameterize the multicommodity-flow global
-// router (the paper's cited alternative to Stages 1-2); it can also be
-// selected inside Run via Params.UseMCFRouter.
-type (
-	MCFOptions = mcf.Options
-	MCFResult  = mcf.Result
-)
-
-// RouteMCF routes all nets with the multicommodity-flow router on a tile
-// graph built from the circuit with the given uniform capacity. Returned
-// routes are not registered on any graph.
-func RouteMCF(c *Circuit, capacity int, opt MCFOptions) (*MCFResult, error) {
-	g, err := tile.New(c.GridW, c.GridH, c.BufferSites, capacity)
-	if err != nil {
-		return nil, err
-	}
-	return mcf.Route(g, c.Nets, opt)
-}
-
 // --- planning backends ----------------------------------------------------
 
 // LibGate is one gate of a planning buffer library: an electrical model
@@ -304,11 +281,6 @@ func DefaultPlanningLibrary018() []LibGate { return tech.DefaultPlanningLibrary0
 // "rabid+lib"), sorted.
 func Backends() []string { return backend.Names() }
 
-// SearchKernels returns the Stage-4 search-kernel names ("heap", "astar")
-// accepted by Params.SearchKernel. Stage 2 always runs the heap; the
-// retired name "dial" is still accepted and runs as "heap".
-func SearchKernels() []string { return route.Kernels() }
-
 // SteinerModes returns the Stage-1 construction names ("pd", "costdist")
 // accepted by Params.SteinerMode.
 func SteinerModes() []string { return core.SteinerModes() }
@@ -323,10 +295,12 @@ func DescribeBackend(name string) (string, bool) {
 	return e.Describe(), true
 }
 
-// NormalizeParams canonicalizes the engine-selection fields of p (Backend
-// "" → "rabid"; "rabid+lib" with no Library → the default library) and
-// validates them against the registry. Plan and the HTTP service apply it
-// automatically; call it directly when deriving cache keys by hand.
+// NormalizeParams canonicalizes p (Backend "" → "rabid"; "rabid+lib" with
+// no Library → the default library) and validates it: against the
+// registry, against the selected engine (a library only on "rabid+lib",
+// mcf knobs only on "mcf") and against Params.Validate. Plan and the HTTP
+// service apply it automatically; call it directly when deriving cache
+// keys by hand.
 func NormalizeParams(p Params) (Params, error) { return backend.Normalize(p) }
 
 // Plan runs the planning engine named by p.Backend ("" = the rabid
@@ -336,12 +310,6 @@ func NormalizeParams(p Params) (Params, error) { return backend.Normalize(p) }
 func Plan(ctx context.Context, c *Circuit, p Params) (*Result, error) {
 	return backend.Plan(ctx, c, p)
 }
-
-// RunMCF executes the multicommodity-flow buffered-routing engine
-// directly: fractional relaxation with site-aware edge lengths and
-// approximate dual updates, deterministic seeded rounding, greedy repair,
-// then the length-based buffer DP (equivalent to Plan with Backend "mcf").
-func RunMCF(c *Circuit, p Params) (*Result, error) { return core.RunMCF(c, p) }
 
 // --- observability --------------------------------------------------------
 
@@ -461,9 +429,9 @@ func NewPlanServer(cfg ServerConfig) *PlanServer { return server.New(cfg) }
 // SHA-256 of the canonical (circuit, params, tech) serialization the
 // service's cache and ETags use. Params are normalized first (see
 // NormalizeParams) so the empty and explicit spellings of an engine share
-// one address. It fails for params carrying a custom route weight
-// function, which cannot be addressed by content, and for an unknown
-// backend.
+// one address. It fails for params carrying a custom route weight,
+// which cannot be addressed by content, and for params NormalizeParams
+// refuses.
 func PlanCacheKey(c *Circuit, p Params) (string, error) {
 	p, err := backend.Normalize(p)
 	if err != nil {

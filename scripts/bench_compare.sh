@@ -4,21 +4,20 @@
 # benchstat.
 #
 #   1. run the route microbenchmarks (Reroute / RipupPass / BufferAwarePath,
-#      the last with and without an incumbent) and the search-kernel
-#      matrix (heap / astar over the Stage-4 BufferAwarePath), the
-#      end-to-end BenchmarkRunSuite, the cross-backend
-#      BenchmarkBackendPlan (rabid / rabid+lib / mcf), and the library DP
-#      (BenchmarkAssignLib, fresh vs warmed scratch),
+#      the last with and without an incumbent, both reporting the Stage-4
+#      search's pops/op and relaxations/op), the end-to-end
+#      BenchmarkRunSuite, the cross-backend BenchmarkBackendPlan
+#      (rabid / rabid+lib / mcf), and the library DP (BenchmarkAssignLib,
+#      fresh vs warmed scratch),
 #   2. convert the text output to JSON with cmd/benchjson,
 #   3. if a baseline exists, print an old-vs-new delta table and gate the
-#      default (heap) kernel's hot paths: a >10% ns/op regression of
+#      router's hot paths: a >10% ns/op regression of
 #      BenchmarkReroute / BenchmarkRipupPass / BenchmarkBufferAwarePath[Incumbent]
-#      or the BenchmarkBufferAwarePathKernel/heap row fails the script.
-#      benchjson disables the gate automatically when the baseline was
-#      recorded on a different CPU (cross-machine wall clock measures the
-#      hardware); the rest of the table stays report-only — runner noise
-#      on the non-default rows and macro benchmarks is not worth failing
-#      on.
+#      fails the script. benchjson disables the gate automatically when
+#      the baseline was recorded on a different CPU (cross-machine wall
+#      clock measures the hardware); the rest of the table stays
+#      report-only — runner noise on the macro benchmarks and the library
+#      DP is not worth failing on.
 #
 # Usage:
 #   scripts/bench_compare.sh                 # write BENCH_route.new.json, compare
@@ -46,10 +45,6 @@ echo "== route microbenchmarks (benchtime=$benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkBufferAwarePath$|BenchmarkBufferAwarePathIncumbent$' \
   -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
 
-echo "== Stage-4 search-kernel matrix (benchtime=$benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkBufferAwarePathKernel$' \
-  -benchmem -benchtime "$benchtime" ./internal/route | tee -a "$workdir/bench.txt" >&2
-
 echo "== end-to-end suite benchmark (benchtime=$suite_benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkRunSuite$|BenchmarkRunSuiteSteiner$' \
   -benchmem -benchtime "$suite_benchtime" -timeout 20m . | tee -a "$workdir/bench.txt" >&2
@@ -73,10 +68,10 @@ new=BENCH_route.new.json
 echo "wrote $new" >&2
 
 if [ -f "$baseline" ]; then
-  # Gate the default kernel's hot paths at 10%; everything else
-  # (non-default kernels, macro benchmarks) is report-only.
+  # Gate the router's hot paths at 10%; everything else (the macro
+  # benchmarks and the library DP) is report-only.
   "$workdir/benchjson" -compare -maxregress 10 \
-    -gate '^(BenchmarkReroute|BenchmarkRipupPass|BenchmarkBufferAwarePath|BenchmarkBufferAwarePathIncumbent)$|^BenchmarkBufferAwarePathKernel/heap$' \
+    -gate '^(BenchmarkReroute|BenchmarkRipupPass|BenchmarkBufferAwarePath|BenchmarkBufferAwarePathIncumbent)$' \
     "$baseline" "$new"
 else
   echo "no baseline ($baseline) checked in; run with -update to create one" >&2
