@@ -234,7 +234,13 @@ type state struct {
 	walk   []geom.Pt // the ripped two-path, tail to head: the reconnection search's incumbent
 	splice splicer
 	slots  []evalSlot // per worker slot of refreshDelays and snapshot
-	snap   struct {
+
+	// With an observer attached: the per-net event buffers of the
+	// parallel sections (Stage 1 and every delay refresh), and the heat
+	// fields of the stage snapshots. Both are made once per run.
+	netEvs            *obs.IndexBuffers
+	wireHeat, bufHeat []float64
+	snap              struct {
 		fail, ok []bool    // per net
 		off      []int     // net i's sink delays are ds[off[i]:off[i+1]]
 		ds       []float64 // per sink, in net order
@@ -444,8 +450,12 @@ func (s *state) emitStage(ss StageStats) {
 	if ss.NonFiniteDelays > 0 {
 		s.obs.Observe(obs.Event{Kind: obs.KindCounter, Scope: "delay.nonfinite", Stage: st, Net: -1, Value: float64(ss.NonFiniteDelays)})
 	}
-	s.obs.Observe(obs.Event{Kind: obs.KindHeat, Scope: "heat.wire", Stage: st, Net: -1, Vals: viz.WireHeat(s.g)})
-	s.obs.Observe(obs.Event{Kind: obs.KindHeat, Scope: "heat.buffer", Stage: st, Net: -1, Vals: viz.BufferHeat(s.g)})
+	// The heat fields reuse run-owned buffers across stages; observers
+	// must not retain Event.Vals (see obs.Event).
+	s.wireHeat = viz.WireHeatInto(s.g, s.wireHeat)
+	s.bufHeat = viz.BufferHeatInto(s.g, s.bufHeat)
+	s.obs.Observe(obs.Event{Kind: obs.KindHeat, Scope: "heat.wire", Stage: st, Net: -1, Vals: s.wireHeat})
+	s.obs.Observe(obs.Event{Kind: obs.KindHeat, Scope: "heat.buffer", Stage: st, Net: -1, Vals: s.bufHeat})
 	s.obs.Observe(obs.Event{Kind: obs.KindSpanEnd, Scope: "stage", Stage: st, Net: -1, Dur: ss.CPU})
 }
 
@@ -455,7 +465,7 @@ func (s *state) emitStage(ss StageStats) {
 // so no slot memory reaches a result. The capacity calibration and usage
 // registration that follow mutate the shared graph and stay sequential.
 func (s *state) stage1() error {
-	bufs := obs.NewIndexBuffers(s.obs, len(s.c.Nets))
+	bufs := s.netEvents(len(s.c.Nets))
 	costdist := s.p.SteinerMode == SteinerCostDist
 	slots := s.evalSlots(len(s.c.Nets))
 	if err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.c.Nets), func(w, i int) error {
@@ -848,6 +858,18 @@ func (s *state) sinkDelays(sl *evalSlot, rt *rtree.Tree, i int) ([]float64, erro
 	return sl.Delays(s.eval, s.p.Library, rt, a)
 }
 
+// netEvents returns the run's per-net event buffers, emptied for a
+// parallel section over n nets, or nil when no observer is attached. The
+// buffers are made on first use and serve every later section, so a
+// section that failed before its flush leaves nothing behind.
+func (s *state) netEvents(n int) *obs.IndexBuffers {
+	if s.netEvs == nil {
+		s.netEvs = obs.NewIndexBuffers(s.obs, n)
+	}
+	s.netEvs.Reset(n)
+	return s.netEvs
+}
+
 // evalSlots sizes the per-worker-slot scratch for a fan-out over n nets.
 func (s *state) evalSlots(n int) []evalSlot {
 	if w := min(par.Workers(s.p.Workers), n); len(s.slots) < w {
@@ -873,7 +895,7 @@ func (s *state) addDemand(rt *rtree.Tree, d float64) {
 // caller that ignores the error orders such nets deterministically as the
 // most critical. All broken nets are reported, joined in net-index order.
 func (s *state) refreshDelays() error {
-	evs := obs.NewIndexBuffers(s.obs, len(s.routes))
+	evs := s.netEvents(len(s.routes))
 	slots := s.evalSlots(len(s.routes))
 	err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.routes), func(w, i int) error {
 		ds, err := s.sinkDelays(&slots[w], s.routes[i], i)

@@ -217,12 +217,6 @@ func RouteCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, opt Optio
 	// proportional to its phase count.
 	rng := rand.New(rand.NewSource(opt.Seed))
 	use := make([]int, ne)
-	addUse := func(rt *rtree.Tree, delta int) {
-		for v := 1; v < rt.NumNodes(); v++ {
-			e, _ := g.EdgeBetween(rt.Tile[rt.Parent[v]], rt.Tile[v])
-			use[e] += delta
-		}
-	}
 	for i := range nets {
 		total := 0
 		for _, p := range pools[i] {
@@ -236,45 +230,127 @@ func RouteCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, opt Optio
 				break
 			}
 		}
-		addUse(res.Routes[i], 1)
-	}
-	// Repair (Albrecht's rerouting step): a few greedy passes re-choosing
-	// each net's pooled tree to minimize overflow, then congestion.
-	score := func() (int, float64) {
-		over := 0
-		worst := 0.0
-		for e := 0; e < ne; e++ {
-			if d := use[e] - g.Capacity(e); d > 0 {
-				over += d
-			}
-			if c := float64(use[e]) / float64(g.Capacity(e)); c > worst {
-				worst = c
-			}
-		}
-		return over, worst
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i := range nets {
-			bestTree := res.Routes[i]
-			addUse(bestTree, -1)
-			bestOver, bestCong := -1, 0.0
-			for _, p := range pools[i] {
-				addUse(p.tree, 1)
-				over, cong := score()
-				addUse(p.tree, -1)
-				if bestOver < 0 || over < bestOver || (over == bestOver && cong < bestCong) {
-					bestOver, bestCong, bestTree = over, cong, p.tree
-				}
-			}
-			res.Routes[i] = bestTree
-			addUse(bestTree, 1)
+		rt := res.Routes[i]
+		for v := 1; v < rt.NumNodes(); v++ {
+			e, _ := g.EdgeBetween(rt.Tile[rt.Parent[v]], rt.Tile[v])
+			use[e]++
 		}
 	}
-	_, res.RoundedMaxCongestion = score()
+	res.RoundedMaxCongestion = repair(g, pools, res.Routes, use)
 	obs.Emit(opt.Obs, obs.Event{Kind: obs.KindGauge, Scope: "mcf.rounded_congestion",
 		Stage: opt.RouteOpt.Stage, Net: -1, Value: res.RoundedMaxCongestion})
 	return res, nil
 }
+
+// repair is Albrecht's rerouting step: two greedy passes that re-choose
+// each net's pooled tree to minimize the total overflow, then the worst
+// congestion, with every other net's pick fixed. routes holds each net's
+// pick and use the per-edge usage that includes them; both are updated in
+// place. It returns the worst congestion of the final picks.
+func repair(g *tile.Graph, pools []pool, routes []*rtree.Tree, use []int) float64 {
+	cg := newCongestion(g, use)
+	for pass := 0; pass < 2; pass++ {
+		for i := range routes {
+			bestTree := routes[i]
+			cg.add(bestTree, -1)
+			bestOver, bestCong := -1, 0.0
+			for _, p := range pools[i] {
+				over, cong := cg.scoreWith(p.tree)
+				if bestOver < 0 || over < bestOver || (over == bestOver && cong < bestCong) {
+					bestOver, bestCong, bestTree = over, cong, p.tree
+				}
+			}
+			routes[i] = bestTree
+			cg.add(bestTree, 1)
+		}
+	}
+	return cg.worst()
+}
+
+// congestion is the per-edge usage of the repair, with its total overflow
+// and a max tree over each edge's congestion use/cap, kept current as
+// trees are added and removed. Scoring a candidate then costs O(its
+// edges), not a scan of every edge, and gives the scan's exact result:
+// the overflow is an integer sum, and the worst congestion is the largest
+// of the same float64 quotients. A quotient counts only when positive, as
+// in a scan that starts at 0 and keeps strict improvements: 0/0 (NaN) is
+// skipped, and x/0 = +Inf on a blocked edge is kept.
+type congestion struct {
+	g    *tile.Graph
+	use  []int
+	over int
+	// hi is the max tree: edge e's quotient is the leaf hi[n+e], and each
+	// inner node k holds the larger of hi[2k] and hi[2k+1], so hi[1] is
+	// the worst congestion. n is a power of two; spare leaves hold 0.
+	hi []float64
+	n  int
+}
+
+func newCongestion(g *tile.Graph, use []int) *congestion {
+	n := 1
+	for n < len(use) {
+		n *= 2
+	}
+	c := &congestion{g: g, use: use, hi: make([]float64, 2*n), n: n}
+	for e, u := range use {
+		c.over += max(0, u-g.Capacity(e))
+		c.hi[n+e] = quotient(u, g.Capacity(e))
+	}
+	for k := n - 1; k >= 1; k-- {
+		c.hi[k] = max(c.hi[2*k], c.hi[2*k+1])
+	}
+	return c
+}
+
+// quotient is an edge's congestion as the worst-congestion maximum counts
+// it: u/cp when positive, 0 otherwise (NaN included).
+func quotient(u, cp int) float64 {
+	if q := float64(u) / float64(cp); q > 0 {
+		return q
+	}
+	return 0
+}
+
+// add adds delta units of usage on every edge of rt.
+func (c *congestion) add(rt *rtree.Tree, delta int) {
+	for v := 1; v < rt.NumNodes(); v++ {
+		e, _ := c.g.EdgeBetween(rt.Tile[rt.Parent[v]], rt.Tile[v])
+		cp := c.g.Capacity(e)
+		c.over -= max(0, c.use[e]-cp)
+		c.use[e] += delta
+		c.over += max(0, c.use[e]-cp)
+		k := c.n + e
+		c.hi[k] = quotient(c.use[e], cp)
+		for k > 1 {
+			k /= 2
+			c.hi[k] = max(c.hi[2*k], c.hi[2*k+1])
+		}
+	}
+}
+
+// scoreWith returns the total overflow and the worst congestion the
+// current usage would have with rt added, without adding it. A tree's
+// nodes are distinct tiles, so it crosses each edge once: one more unit on
+// edge e adds 1 to the overflow exactly when use+1 > cap, and raises e's
+// quotient, so the worst is the larger of the current worst and rt's
+// raised quotients.
+func (c *congestion) scoreWith(rt *rtree.Tree) (over int, worst float64) {
+	over, worst = c.over, c.hi[1]
+	for v := 1; v < rt.NumNodes(); v++ {
+		e, _ := c.g.EdgeBetween(rt.Tile[rt.Parent[v]], rt.Tile[v])
+		u, cp := c.use[e]+1, c.g.Capacity(e)
+		if u > cp {
+			over++
+		}
+		if q := float64(u) / float64(cp); q > worst {
+			worst = q
+		}
+	}
+	return over, worst
+}
+
+// worst returns the worst congestion of the current usage.
+func (c *congestion) worst() float64 { return c.hi[1] }
 
 // pooled is one pool entry: a distinct tree and the number of phases
 // that routed it.

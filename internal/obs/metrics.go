@@ -5,8 +5,9 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -116,21 +117,49 @@ type SpanStats struct {
 // stage-qualified scope ("stage.2", "net.assign.3", ...). Safe for
 // concurrent use, so one registry can absorb the experiment suite's
 // concurrent benchmark fan-out.
+//
+// Each (scope, stage) pair is resolved to its series once: the qualified
+// name is built the first time the pair is seen, and every later event of
+// the pair costs one map lookup under the mutex and allocates nothing.
+// Pairs whose qualified names coincide (scope "a.2" at stage 0 and scope
+// "a" at stage 2) share one series, as they share one name.
 type Metrics struct {
-	mu       sync.Mutex
-	counters map[string]float64
-	gauges   map[string]float64
-	hists    map[string]*Histogram
-	spans    map[string]*SpanStats
+	mu     sync.Mutex
+	byPair map[seriesPair]*series
+	byName map[string]*series
 }
+
+// seriesPair is what an event names a series by; stages <= 0 are stored
+// as 0, since they all qualify to the bare scope.
+type seriesPair struct {
+	scope string
+	stage int
+}
+
+// series is the aggregate of one qualified name. has records which of the
+// counter, gauge and span were observed, so the dumps list a name only in
+// the sections it was reported to.
+type series struct {
+	name    string
+	has     uint8
+	counter float64
+	gauge   float64
+	hist    Histogram // fed by counter and gauge observations alike
+	span    SpanStats
+}
+
+const (
+	hasCounter uint8 = 1 << iota
+	hasGauge
+	hasSpan
+	hasHist = hasCounter | hasGauge
+)
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters: map[string]float64{},
-		gauges:   map[string]float64{},
-		hists:    map[string]*Histogram{},
-		spans:    map[string]*SpanStats{},
+		byPair: map[seriesPair]*series{},
+		byName: map[string]*series{},
 	}
 }
 
@@ -145,60 +174,87 @@ func key(scope string, stage int) string {
 
 // Observe implements Observer.
 func (m *Metrics) Observe(e Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	var has uint8
 	switch e.Kind {
 	case KindCounter:
-		k := key(e.Scope, e.Stage)
-		m.counters[k] += e.Value
-		m.hist(k).observe(e.Value)
+		has = hasCounter
 	case KindGauge:
-		k := key(e.Scope, e.Stage)
-		m.gauges[k] = e.Value
-		m.hist(k).observe(e.Value)
+		has = hasGauge
 	case KindSpanEnd:
-		k := key(e.Scope, e.Stage)
-		s := m.spans[k]
-		if s == nil {
-			s = &SpanStats{}
-			m.spans[k] = s
-		}
-		s.Count++
-		s.Total += e.Dur
+		has = hasSpan
+	default:
+		// Span begins, heat snapshots, and log lines carry no aggregate.
+		return
 	}
-	// Span begins, heat snapshots, and log lines carry no aggregate.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := seriesPair{e.Scope, max(e.Stage, 0)}
+	s := m.byPair[p]
+	if s == nil {
+		s = m.resolve(p) //rabid:allow allocfree first sight of a (scope, stage) pair: its name and series are made once, and every later event of the pair is a map hit
+	}
+	s.has |= has
+	switch has {
+	case hasCounter:
+		s.counter += e.Value
+		s.hist.observe(e.Value)
+	case hasGauge:
+		s.gauge = e.Value
+		s.hist.observe(e.Value)
+	case hasSpan:
+		s.span.Count++
+		s.span.Total += e.Dur
+	}
 }
 
-func (m *Metrics) hist(k string) *Histogram {
-	h := m.hists[k]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[k] = h
+// resolve binds a pair seen for the first time to the series of its
+// qualified name, creating that series if no other pair has named it.
+// The caller holds m.mu.
+func (m *Metrics) resolve(p seriesPair) *series {
+	name := key(p.scope, p.stage)
+	s := m.byName[name]
+	if s == nil {
+		s = &series{name: name}
+		m.byName[name] = s
 	}
-	return h
+	m.byPair[p] = s
+	return s
+}
+
+// lookup returns the series of a qualified name if it reported has.
+func (m *Metrics) lookup(k string, has uint8) *series {
+	if s := m.byName[k]; s != nil && s.has&has != 0 {
+		return s
+	}
+	return nil
 }
 
 // Counter returns the accumulated value of a counter key.
 func (m *Metrics) Counter(k string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.counters[k]
+	if s := m.lookup(k, hasCounter); s != nil {
+		return s.counter
+	}
+	return 0
 }
 
 // Gauge returns the last value of a gauge key and whether it was set.
 func (m *Metrics) Gauge(k string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v, ok := m.gauges[k]
-	return v, ok
+	if s := m.lookup(k, hasGauge); s != nil {
+		return s.gauge, true
+	}
+	return 0, false
 }
 
 // Span returns the aggregated stats of a span key (zero value if unseen).
 func (m *Metrics) Span(k string) SpanStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s := m.spans[k]; s != nil {
-		return *s
+	if s := m.lookup(k, hasSpan); s != nil {
+		return s.span
 	}
 	return SpanStats{}
 }
@@ -211,17 +267,20 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	defer m.mu.Unlock()
 	var b []byte
 	b = append(b, `{"counters":{`...)
-	b = appendFloatMap(b, m.counters)
+	for i, s := range m.named(hasCounter) {
+		b = appendKey(b, i, s.name)
+		b = appendFloat(b, s.counter)
+	}
 	b = append(b, `},"gauges":{`...)
-	b = appendFloatMap(b, m.gauges)
+	for i, s := range m.named(hasGauge) {
+		b = appendKey(b, i, s.name)
+		b = appendFloat(b, s.gauge)
+	}
 	b = append(b, `},"histograms":{`...)
-	for i, k := range sortedKeys(m.hists) {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		h := m.hists[k]
-		b = strconv.AppendQuote(b, k)
-		b = append(b, `:{"count":`...)
+	for i, s := range m.named(hasHist) {
+		h := &s.hist
+		b = appendKey(b, i, s.name)
+		b = append(b, `{"count":`...)
 		b = strconv.AppendInt(b, int64(h.Count), 10)
 		b = append(b, `,"sum":`...)
 		b = appendFloat(b, h.Sum)
@@ -250,16 +309,12 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		b = append(b, `]}`...)
 	}
 	b = append(b, `},"spans":{`...)
-	for i, k := range sortedKeys(m.spans) {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		s := m.spans[k]
-		b = strconv.AppendQuote(b, k)
-		b = append(b, `:{"count":`...)
-		b = strconv.AppendInt(b, int64(s.Count), 10)
+	for i, s := range m.named(hasSpan) {
+		b = appendKey(b, i, s.name)
+		b = append(b, `{"count":`...)
+		b = strconv.AppendInt(b, int64(s.span.Count), 10)
 		b = append(b, `,"total_ns":`...)
-		b = strconv.AppendInt(b, int64(s.Total), 10)
+		b = strconv.AppendInt(b, int64(s.span.Total), 10)
 		b = append(b, '}')
 	}
 	b = append(b, `}}`...)
@@ -276,53 +331,54 @@ func (m *Metrics) WriteSummary(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "telemetry summary\n"); err != nil {
 		return err
 	}
-	if len(m.spans) > 0 {
+	if spans := m.named(hasSpan); len(spans) > 0 {
 		fmt.Fprintf(w, "  spans (count, total wall clock):\n")
-		for _, k := range sortedKeys(m.spans) {
-			s := m.spans[k]
-			fmt.Fprintf(w, "    %-28s %6dx  %s\n", k, s.Count, s.Total)
+		for _, s := range spans {
+			fmt.Fprintf(w, "    %-28s %6dx  %s\n", s.name, s.span.Count, s.span.Total)
 		}
 	}
-	if len(m.counters) > 0 {
+	if counters := m.named(hasCounter); len(counters) > 0 {
 		fmt.Fprintf(w, "  counters:\n")
-		for _, k := range sortedKeys(m.counters) {
-			fmt.Fprintf(w, "    %-28s %g\n", k, m.counters[k])
+		for _, s := range counters {
+			fmt.Fprintf(w, "    %-28s %g\n", s.name, s.counter)
 		}
 	}
-	if len(m.gauges) > 0 {
+	if gauges := m.named(hasGauge); len(gauges) > 0 {
 		fmt.Fprintf(w, "  gauges (last value):\n")
-		for _, k := range sortedKeys(m.gauges) {
-			fmt.Fprintf(w, "    %-28s %g\n", k, m.gauges[k])
+		for _, s := range gauges {
+			fmt.Fprintf(w, "    %-28s %g\n", s.name, s.gauge)
 		}
 	}
-	if len(m.hists) > 0 {
+	if hists := m.named(hasHist); len(hists) > 0 {
 		fmt.Fprintf(w, "  histograms (count, min / p50 p95 p99 / max):\n")
-		for _, k := range sortedKeys(m.hists) {
-			h := m.hists[k]
+		for _, s := range hists {
+			h := &s.hist
 			fmt.Fprintf(w, "    %-28s %6dx  %g / %g %g %g / %g\n",
-				k, h.Count, h.Min, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
+				s.name, h.Count, h.Min, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
 		}
 	}
 	return nil
 }
 
-func appendFloatMap(b []byte, m map[string]float64) []byte {
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			b = append(b, ',')
+// named returns the series that reported any of has, ascending by name.
+// The caller holds m.mu.
+func (m *Metrics) named(has uint8) []*series {
+	var out []*series
+	for _, s := range m.byName {
+		if s.has&has != 0 {
+			out = append(out, s)
 		}
-		b = strconv.AppendQuote(b, k)
-		b = append(b, ':')
-		b = appendFloat(b, m[k])
 	}
-	return b
+	slices.SortFunc(out, func(a, b *series) int { return strings.Compare(a.name, b.name) })
+	return out
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// appendKey appends the i-th member name of a JSON object, with its
+// separating comma and the colon.
+func appendKey(b []byte, i int, name string) []byte {
+	if i > 0 {
+		b = append(b, ',')
 	}
-	sort.Strings(keys)
-	return keys
+	b = strconv.AppendQuote(b, name)
+	return append(b, ':')
 }

@@ -176,18 +176,47 @@ func Multi(os ...Observer) Observer {
 // ordering), and Flush forwards everything to the observer in item-index
 // order after the fan-in barrier. A nil *IndexBuffers (no observer) is a
 // valid no-op receiver, so call sites need no second nil check.
+//
+// The storage is meant to live as long as a run: every item has one event
+// slot, and an item's second and later events go to its overflow list,
+// whose capacity is kept across sections. Reset empties the buffers for
+// the next section, so a warmed IndexBuffers allocates nothing.
 type IndexBuffers struct {
-	o   Observer
-	evs [][]Event
+	o     Observer
+	has   []bool    // item i holds an event in first[i]
+	first []Event   // item i's first event
+	more  [][]Event // item i's later events, in emission order
 }
 
-// NewIndexBuffers returns buffers for n work items feeding o, or nil when
-// o is nil.
+// NewIndexBuffers returns empty buffers for n work items feeding o, or nil
+// when o is nil.
 func NewIndexBuffers(o Observer, n int) *IndexBuffers {
 	if o == nil {
 		return nil
 	}
-	return &IndexBuffers{o: o, evs: make([][]Event, n)}
+	b := &IndexBuffers{o: o}
+	b.Reset(n)
+	return b
+}
+
+// Reset drops every buffered event and sizes the buffers for n work
+// items, keeping their storage. A section starts with Reset, so events a
+// failed section left unflushed never reach a later one. No-op on a nil
+// receiver.
+func (b *IndexBuffers) Reset(n int) {
+	if b == nil {
+		return
+	}
+	if cap(b.has) < n {
+		b.has = make([]bool, n)
+		b.first = make([]Event, n)
+		b.more = make([][]Event, n)
+	}
+	b.has, b.first, b.more = b.has[:n], b.first[:n], b.more[:n]
+	clear(b.has)
+	for i := range b.more {
+		b.more[i] = b.more[i][:0]
+	}
 }
 
 // Active reports whether events are being collected; workers use it to
@@ -218,20 +247,28 @@ func (b *IndexBuffers) Emit(i int, e Event) {
 	if b == nil {
 		return
 	}
-	b.evs[i] = append(b.evs[i], e)
+	if !b.has[i] {
+		b.has[i], b.first[i] = true, e
+		return
+	}
+	b.more[i] = append(b.more[i], e) //rabid:allow allocfree overflow growth: an item's second and later events, kept across sections
 }
 
-// Flush forwards all buffered events in item-index order and resets the
+// Flush forwards all buffered events in item-index order and empties the
 // buffers. No-op on a nil receiver.
 func (b *IndexBuffers) Flush() {
 	if b == nil {
 		return
 	}
-	for i, evs := range b.evs {
-		for _, e := range evs {
+	for i, ok := range b.has {
+		if !ok {
+			continue
+		}
+		b.o.Observe(b.first[i])
+		for _, e := range b.more[i] {
 			b.o.Observe(e)
 		}
-		b.evs[i] = nil
+		b.has[i], b.more[i] = false, b.more[i][:0]
 	}
 }
 

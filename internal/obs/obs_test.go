@@ -248,6 +248,89 @@ func TestIndexBuffersDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestIndexBuffersReuse: buffers reset for the next section keep their
+// storage, so a warmed section allocates nothing, one event per item or
+// several; and a section that failed before its flush leaks nothing into
+// the next one.
+func TestIndexBuffersReuse(t *testing.T) {
+	const n = 16
+	var got []Event
+	b := NewIndexBuffers(observerFunc(func(e Event) { got = append(got, e) }), n)
+	for i := 0; i < n; i++ {
+		b.Emit(i, Event{Kind: KindCounter, Scope: "failed", Net: i, Value: 1})
+	}
+	// The section above never flushed; the next one starts with Reset.
+	b.Reset(n)
+	for i := n - 1; i >= 0; i-- {
+		b.Emit(i, Event{Kind: KindGauge, Scope: "g", Net: i})
+		if i%3 == 0 {
+			b.Emit(i, Event{Kind: KindCounter, Scope: "c", Net: i})
+			b.Emit(i, Event{Kind: KindSpanEnd, Scope: "s", Net: i})
+		}
+	}
+	b.Flush()
+	want := 0
+	for i := 0; i < n; i++ {
+		scopes := []string{"g"}
+		if i%3 == 0 {
+			scopes = append(scopes, "c", "s")
+		}
+		for _, sc := range scopes {
+			if want >= len(got) || got[want].Net != i || got[want].Scope != sc {
+				t.Fatalf("flushed %v, want item %d's %q at position %d", got, i, sc, want)
+			}
+			want++
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("flushed %d events, want %d (a failed section's events leaked)", len(got), want)
+	}
+
+	got = make([]Event, 0, 4*n)
+	for _, perItem := range []int{1, 3} {
+		section := func() {
+			got = got[:0]
+			b.Reset(n)
+			for i := 0; i < n; i++ {
+				for k := 0; k < perItem; k++ {
+					b.Emit(i, Event{Kind: KindCounter, Scope: "c", Net: i, Value: 1})
+				}
+			}
+			b.Flush()
+		}
+		section()
+		if a := testing.AllocsPerRun(20, section); a != 0 {
+			t.Errorf("%d events per item: a warmed section allocates %v, want 0", perItem, a)
+		}
+		if len(got) != perItem*n {
+			t.Errorf("%d events per item: flushed %d, want %d", perItem, len(got), perItem*n)
+		}
+	}
+}
+
+// TestMetricsObserveZeroAllocSteadyState: once a series has been seen,
+// counter, gauge and span-end events on it allocate nothing, at stage 0
+// and at a positive stage alike.
+func TestMetricsObserveZeroAllocSteadyState(t *testing.T) {
+	m := NewMetrics()
+	events := []Event{
+		{Kind: KindCounter, Scope: "route.pops", Net: 3, Value: 17},
+		{Kind: KindCounter, Scope: "route.pops", Stage: 2, Net: 3, Value: 17},
+		{Kind: KindGauge, Scope: "net.delay_ps", Net: 3, Value: 120.5},
+		{Kind: KindGauge, Scope: "net.delay_ps", Stage: 4, Net: 3, Value: 120.5},
+		{Kind: KindSpanEnd, Scope: "net.assign", Net: 3, Dur: time.Microsecond},
+		{Kind: KindSpanEnd, Scope: "net.assign", Stage: 3, Net: 3, Dur: time.Microsecond},
+	}
+	for _, e := range events {
+		m.Observe(e)
+	}
+	for _, e := range events {
+		if a := testing.AllocsPerRun(100, func() { m.Observe(e) }); a != 0 {
+			t.Errorf("Observe(%v %q stage %d) on a seen series allocates %v, want 0", e.Kind, e.Scope, e.Stage, a)
+		}
+	}
+}
+
 type observerFunc func(Event)
 
 func (f observerFunc) Observe(e Event) { f(e) }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtree"
 	"repro/internal/tile"
+	"repro/internal/viz"
 )
 
 // Options controls the router.
@@ -334,7 +335,7 @@ func ReduceCongestionCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net
 			wst := g.WireCongestion()
 			// The heat snapshot reuses the workspace buffer across passes;
 			// observers must not retain Event.Vals (see obs.Event).
-			ws.heat = wireHeat(g, ws.heat)
+			ws.heat = viz.WireHeatInto(g, ws.heat)
 			obs.Emit(opt.Obs, obs.Event{Kind: obs.KindGauge, Scope: "ripup.overflow", Stage: opt.Stage, Pass: popt.Pass, Net: -1, Value: float64(wst.Overflow)})
 			obs.Emit(opt.Obs, obs.Event{Kind: obs.KindGauge, Scope: "ripup.wire_max", Stage: opt.Stage, Pass: popt.Pass, Net: -1, Value: wst.Max})
 			obs.Emit(opt.Obs, obs.Event{Kind: obs.KindHeat, Scope: "heat.wire", Stage: opt.Stage, Pass: popt.Pass, Net: -1, Vals: ws.heat})
@@ -377,33 +378,6 @@ func (t *wavefrontTap) Observe(e obs.Event) {
 		}
 	}
 	t.inner.Observe(e)
-}
-
-// wireHeat is the per-tile congestion field emitted with heat snapshots:
-// each tile's maximum incident w(e)/W(e). The result is written into heat
-// (grown as needed) and returned, so a caller-held buffer is reused across
-// pass snapshots instead of allocating NumTiles floats per pass.
-// Utilization goes through tile.Graph.EdgeUtil, whose zero-capacity guard
-// (the analogue of SiteCost's zero-sites check) keeps every snapshot value
-// finite — a raw w/W division would plant +Inf or NaN on a blocked edge
-// and poison heat.wire observer events and downstream aggregation.
-func wireHeat(g *tile.Graph, heat []float64) []float64 {
-	nt := g.NumTiles()
-	if cap(heat) < nt {
-		heat = make([]float64, nt)
-	}
-	heat = heat[:nt]
-	for v := range heat {
-		h := 0.0
-		_, edges := g.Adjacency(v)
-		for _, e32 := range edges {
-			if c := g.EdgeUtil(int(e32)); c > h {
-				h = c
-			}
-		}
-		heat[v] = h
-	}
-	return heat
 }
 
 // siteCostClamped is the Eq. (2) site cost with the router's overflow

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtree"
 	"repro/internal/tile"
+	"repro/internal/viz"
 )
 
 func mkNet(id int, src geom.Pt, sinks ...geom.Pt) *netlist.Net {
@@ -337,7 +338,7 @@ func TestKernelLabelFollowsRerouteFallback(t *testing.T) {
 }
 
 // TestWireHeatZeroCapacity: a blocked (zero-capacity) edge must not plant
-// +Inf/NaN in the per-tile heat snapshot.
+// +Inf/NaN in the per-tile heat snapshot a rip-up pass emits.
 func TestWireHeatZeroCapacity(t *testing.T) {
 	g, err := tile.New(3, 3, make([]int, 9), 2)
 	if err != nil {
@@ -349,7 +350,7 @@ func TestWireHeatZeroCapacity(t *testing.T) {
 	}
 	g.SetCapacity(e, 0)
 	g.AddWire(e) // a wire on a blocked edge: utilization would be 1/0
-	heat := wireHeat(g, nil)
+	heat := viz.WireHeatInto(g, nil)
 	for v, h := range heat {
 		if h != h || h > 1e18 { // NaN or absurd
 			t.Fatalf("tile %d heat = %v with a zero-capacity edge", v, h)

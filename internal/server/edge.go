@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -67,21 +68,76 @@ func (w *edgeWriter) Flush() {
 	}
 }
 
-// routeLabel maps a request to its route template (never the raw path —
-// per-route metrics must not explode into per-id keys).
-func routeLabel(r *http.Request) string {
-	p := r.URL.Path
+// edgeScopes are a route label and the three metric scopes the edge
+// records under it. They are built once per label, not per request.
+type edgeScopes struct {
+	label, requests, latency, respBytes string
+}
+
+func newEdgeScopes(label string) *edgeScopes {
+	return &edgeScopes{
+		label:     label,
+		requests:  "http.requests." + label,
+		latency:   "http.latency_ms." + label,
+		respBytes: "http.resp_bytes." + label,
+	}
+}
+
+// routeTemplates are the path templates of the v1 routes.
+var routeTemplates = []string{
+	"/v1/plan", "/v1/bbp", "/v1/jobs", "/v1/jobs/{id}", "/v1/jobs/{id}/events",
+	"/v1/healthz", "/v1/metricz",
+}
+
+// edgeRoutes holds the scopes of every label a standard method and a
+// route template make, keyed by the two.
+var edgeRoutes = func() map[[2]string]*edgeScopes {
+	methods := []string{
+		http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
+	}
+	m := map[[2]string]*edgeScopes{}
+	for _, tmpl := range routeTemplates {
+		for _, method := range methods {
+			m[[2]string{method, tmpl}] = newEdgeScopes(method + " " + tmpl)
+		}
+	}
+	return m
+}()
+
+var otherScopes = newEdgeScopes("other")
+
+// routeScopes maps a request to the scopes of its route template (never
+// the raw path — per-route metrics must not explode into per-id keys). A
+// request with a nonstandard method gets its label built on the spot.
+func routeScopes(r *http.Request) *edgeScopes {
+	tmpl := routeTemplate(r.URL.Path)
+	if tmpl == "" {
+		return otherScopes
+	}
+	if sc := edgeRoutes[[2]string{r.Method, tmpl}]; sc != nil {
+		return sc
+	}
+	return newEdgeScopes(r.Method + " " + tmpl)
+}
+
+// routeTemplate returns the template of a v1 path, or "" for any other.
+func routeTemplate(p string) string {
 	switch {
 	case strings.HasPrefix(p, "/v1/jobs/"):
 		if strings.HasSuffix(p, "/events") {
-			return r.Method + " /v1/jobs/{id}/events"
+			return "/v1/jobs/{id}/events"
 		}
-		return r.Method + " /v1/jobs/{id}"
-	case p == "/v1/plan", p == "/v1/bbp", p == "/v1/jobs", p == "/v1/healthz", p == "/v1/metricz":
-		return r.Method + " " + p
+		return "/v1/jobs/{id}"
+	case slices.Contains(routeTemplates, p):
+		return p
 	}
-	return "other"
+	return ""
 }
+
+// routeLabel maps a request to its route label, "METHOD template" or
+// "other".
+func routeLabel(r *http.Request) string { return routeScopes(r).label }
 
 // accessLine is one structured access-log record. Field order is fixed by
 // the struct, so lines are uniform and machine-parseable.
@@ -117,11 +173,11 @@ func (s *Server) edge(next http.Handler) http.Handler {
 			ew.status = http.StatusOK
 		}
 
-		route := routeLabel(r)
+		route := routeScopes(r)
 		durMs := float64(time.Since(t0)) / float64(time.Millisecond)
-		obs.Emit(s.metrics, obs.Event{Kind: obs.KindCounter, Scope: "http.requests." + route, Net: -1, Value: 1})
-		obs.Emit(s.metrics, obs.Event{Kind: obs.KindGauge, Scope: "http.latency_ms." + route, Net: -1, Value: durMs})
-		obs.Emit(s.metrics, obs.Event{Kind: obs.KindGauge, Scope: "http.resp_bytes." + route, Net: -1, Value: float64(ew.bytes)})
+		obs.Emit(s.metrics, obs.Event{Kind: obs.KindCounter, Scope: route.requests, Net: -1, Value: 1})
+		obs.Emit(s.metrics, obs.Event{Kind: obs.KindGauge, Scope: route.latency, Net: -1, Value: durMs})
+		obs.Emit(s.metrics, obs.Event{Kind: obs.KindGauge, Scope: route.respBytes, Net: -1, Value: float64(ew.bytes)})
 
 		if s.cfg.AccessLog == nil {
 			return
@@ -131,7 +187,7 @@ func (s *Server) edge(next http.Handler) http.Handler {
 			ID:        rid,
 			Method:    r.Method,
 			Path:      r.URL.Path,
-			Route:     route,
+			Route:     route.label,
 			Status:    ew.status,
 			Bytes:     ew.bytes,
 			DurMs:     durMs,

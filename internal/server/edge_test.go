@@ -173,6 +173,8 @@ func TestRouteLabel(t *testing.T) {
 		{"DELETE", "/v1/jobs/abc123", "DELETE /v1/jobs/{id}"},
 		{"GET", "/v1/jobs/abc123/events", "GET /v1/jobs/{id}/events"},
 		{"GET", "/v1/healthz", "GET /v1/healthz"},
+		{"HEAD", "/v1/healthz", "HEAD /v1/healthz"},
+		{"PURGE", "/v1/plan", "PURGE /v1/plan"},
 		{"GET", "/nope", "other"},
 	}
 	for _, c := range cases {

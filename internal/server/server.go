@@ -113,6 +113,10 @@ type Server struct {
 	// invisible to cache keys and response bytes.
 	pool *route.Pool
 
+	// bodies recycles request-body buffers across requests (see
+	// readBody). Like the workspace pool, invisible to keys and bytes.
+	bodies sync.Pool
+
 	// jobs is the async job table (see jobs.go).
 	jobs *jobTable
 	// logMu serializes access-log lines onto cfg.AccessLog.
@@ -156,6 +160,7 @@ func New(cfg Config) *Server {
 		pool:    route.NewPool(),
 		jobs:    newJobTable(cfg.MaxJobs, cfg.JobTTL),
 	}
+	s.bodies.New = func() any { return new(bytes.Buffer) }
 	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/bbp", s.handleBBP)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -370,10 +375,12 @@ func ExecutePlan(ctx context.Context, reqBody []byte, workers int, o obs.Observe
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer s.span("server.plan", t0)
-	raw, ok := s.readBody(w, r)
+	buf, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
+	defer s.putBody(buf)
+	raw := buf.Bytes()
 	digest := cache.BodyDigest("/v1/plan", raw)
 	if s.recall(w, digest) {
 		return
@@ -427,10 +434,12 @@ type bbpResponse struct {
 func (s *Server) handleBBP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer s.span("server.bbp", t0)
-	raw, ok := s.readBody(w, r)
+	buf, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
+	defer s.putBody(buf)
+	raw := buf.Bytes()
 	digest := cache.BodyDigest("/v1/bbp", raw)
 	if s.recall(w, digest) {
 		return
@@ -542,18 +551,36 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 // readBody and decode). It writes the error response itself and reports
 // whether both succeeded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	raw, ok := s.readBody(w, r)
-	return ok && s.decode(w, raw, dst)
+	buf, ok := s.readBody(w, r)
+	if !ok {
+		return false
+	}
+	defer s.putBody(buf)
+	return s.decode(w, buf.Bytes(), dst)
 }
 
-// readBody reads the whole request body, capped at MaxBodyBytes. The buffer
-// grows as bytes arrive rather than being sized from Content-Length: the
-// client sets that header, so trusting it would let one request buy an
-// allocation of the full cap. It writes the error response itself (413
-// over the cap) and reports whether reading succeeded.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
+// maxPooledBody is the largest request-body buffer putBody keeps for
+// reuse. A larger one is left to the garbage collector, so that one huge
+// request does not pin its buffer in the pool.
+const maxPooledBody = 1 << 20
+
+// readBody reads the whole request body, capped at MaxBodyBytes, into a
+// buffer drawn from the server's pool. The buffer grows as bytes arrive
+// rather than being sized from Content-Length: the client sets that
+// header, so trusting it would let one request buy an allocation of the
+// full cap. It writes the error response itself (413 over the cap) and
+// reports whether reading succeeded.
+//
+// On success the handler owns the buffer until it hands it back with
+// putBody, and nothing may read its bytes after that. What outlives the
+// handler is copied first: the body digest hashes the bytes, the decoder
+// copies the circuit into its json.RawMessage, and the job path journals a
+// re-marshalled request.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := s.bodies.Get().(*bytes.Buffer)
+	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		s.putBody(buf)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
@@ -563,7 +590,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: decode request: %w", err))
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return buf, true
+}
+
+// putBody returns a request-body buffer to the pool, unless it grew past
+// maxPooledBody.
+func (s *Server) putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		s.bodies.Put(buf)
+	}
 }
 
 // decode decodes a request body into dst (see decodeRequest), writing the

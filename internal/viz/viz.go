@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/rtree"
 	"repro/internal/tile"
@@ -19,35 +18,54 @@ const ramp = " .:-=+*#%@"
 
 // WireHeat returns, per tile, the maximum congestion w/W of its incident
 // edges (values may exceed 1 when edges overflow).
-func WireHeat(g *tile.Graph) []float64 {
-	heat := make([]float64, g.NumTiles())
-	var nbuf []geom.Pt
-	for v := 0; v < g.NumTiles(); v++ {
-		p := g.TileAt(v)
-		nbuf = g.Neighbors(p, nbuf[:0])
-		for _, q := range nbuf {
-			e, _ := g.EdgeBetween(p, q)
-			// EdgeUtil guards blocked (zero-capacity) edges, keeping the
-			// rendered field finite.
-			c := g.EdgeUtil(e)
-			if c > heat[v] {
-				heat[v] = c
+func WireHeat(g *tile.Graph) []float64 { return WireHeatInto(g, nil) }
+
+// WireHeatInto is WireHeat written into dst (grown as needed) and
+// returned, so that a caller-held buffer serves every snapshot of a run:
+// the router's per-pass heat and the pipeline's per-stage heat. Each
+// tile's incident edges are read from the graph's flat adjacency, and
+// utilization goes through tile.Graph.EdgeUtil, whose zero-capacity guard
+// keeps every value finite: a raw w/W division would plant +Inf or NaN on
+// a blocked edge and poison heat.wire observer events and downstream
+// aggregation.
+func WireHeatInto(g *tile.Graph, dst []float64) []float64 {
+	dst = grow(dst, g.NumTiles())
+	for v := range dst {
+		h := 0.0
+		_, edges := g.Adjacency(v)
+		for _, e := range edges {
+			if c := g.EdgeUtil(int(e)); c > h {
+				h = c
 			}
 		}
+		dst[v] = h
 	}
-	return heat
+	return dst
 }
 
 // BufferHeat returns, per tile, the buffer-site occupancy b/B (zero for
 // tiles without sites).
-func BufferHeat(g *tile.Graph) []float64 {
-	heat := make([]float64, g.NumTiles())
-	for v := 0; v < g.NumTiles(); v++ {
+func BufferHeat(g *tile.Graph) []float64 { return BufferHeatInto(g, nil) }
+
+// BufferHeatInto is BufferHeat written into dst (grown as needed) and
+// returned.
+func BufferHeatInto(g *tile.Graph, dst []float64) []float64 {
+	dst = grow(dst, g.NumTiles())
+	for v := range dst {
+		dst[v] = 0
 		if s := g.Sites(v); s > 0 {
-			heat[v] = float64(g.UsedSites(v)) / float64(s)
+			dst[v] = float64(g.UsedSites(v)) / float64(s)
 		}
 	}
-	return heat
+	return dst
+}
+
+// grow returns dst resized to n, reallocated only when too small.
+func grow(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
 }
 
 // ASCII renders a per-tile heat slice (row-major, w x h) as a character
