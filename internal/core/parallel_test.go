@@ -15,7 +15,8 @@ import (
 )
 
 // newTestState builds a pipeline state directly (as Run does) and executes
-// Stage 1, so tests can drive individual stages and error paths.
+// Stage 1 with the delay evaluation that ends it, so tests can drive
+// individual stages and error paths.
 func newTestState(t *testing.T, c *netlist.Circuit, p Params) *state {
 	t.Helper()
 	eval, err := delay.NewEvaluator(p.Tech, c.TileUm)
@@ -34,6 +35,9 @@ func newTestState(t *testing.T, c *netlist.Circuit, p Params) *state {
 		ws:     route.NewWorkspace(),
 	}
 	if err := s.stage1(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.refreshDelays(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -183,8 +187,9 @@ func TestReworkNetAllocBound(t *testing.T) {
 
 // TestStage2AllocBound: Stage 2 reroutes every net on the run's one
 // workspace, so once that workspace and its recycled-tree free list are
-// warm a stage2 call allocates a fixed count — the pass order and the
-// delay refresh's fan-out — however many nets and rip-up passes it runs.
+// warm a Stage-2 call as execute runs it (stage2, then the stage's delay
+// refresh) allocates a fixed count — the pass order and the delay
+// refresh's fan-out — however many nets and rip-up passes it runs.
 // The state holds no WorkspacePool, as in a Run with a nil pool, and
 // capacity 1 keeps the circuit overflowing, so every call runs all
 // MaxRipupPasses passes. Recycled trees take a few dozen calls to grow to
@@ -199,6 +204,9 @@ func TestStage2AllocBound(t *testing.T) {
 		s := newTestState(t, smallCircuit(t, 27, 60, 12, 12, 2, 4), p)
 		stage2 := func() {
 			if err := s.stage2(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.refreshDelays(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,9 +225,10 @@ func TestStage2AllocBound(t *testing.T) {
 }
 
 // TestStage1AllocBound: with each worker slot's steiner.Scratch warm, a
-// stage1 call allocates a fixed count per net — the output tree (the Tree
-// and its Tile, Parent and SinkNode arrays) and its child adjacency, which
-// the delay refresh builds — plus a constant for the two tile graphs, the
+// Stage-1 call as execute runs it (stage1, then the stage's delay refresh)
+// allocates a fixed count per net — the output tree (the Tree and its
+// Tile, Parent and SinkNode arrays) and its child adjacency, which the
+// delay refresh builds — plus a constant for the two tile graphs, the
 // fan-outs and the calibration, at any net count. The map-based Stage 1
 // made about 88 allocations per net. With two workers, which slot serves
 // which net varies, so only the bound is held there.
@@ -234,6 +243,9 @@ func TestStage1AllocBound(t *testing.T) {
 			s := newTestState(t, smallCircuit(t, 28, n, 16, 16, 2, 4), p)
 			stage1 := func() {
 				if err := s.stage1(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.refreshDelays(); err != nil {
 					t.Fatal(err)
 				}
 			}

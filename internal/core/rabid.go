@@ -88,12 +88,13 @@ type Params struct {
 	// delay evaluation uses the chosen gates.
 	Library []tech.LibGate
 	// Workers bounds the goroutines used for the parallel sections: the
-	// order-independent per-net work (Stage-1 Steiner construction, the
-	// delay refresh after every stage, the per-net snapshot accounting).
-	// 0 (the default) means GOMAXPROCS. Results are bit-identical for
-	// every value — per-net workers write only to their own net's slot,
-	// and shared tile-graph mutation stays sequential (see DESIGN.md,
-	// "Parallel execution model").
+	// order-independent per-net work (Stage-1 Steiner construction, and the
+	// delay evaluation that ends every stage, whose sink delays both order
+	// the next stage and feed the stage's snapshot). 0 (the default) means
+	// GOMAXPROCS. Results are bit-identical for every value — per-net
+	// workers write only to their own net's slot, and shared tile-graph
+	// mutation stays sequential (see DESIGN.md, "Parallel execution
+	// model").
 	Workers int
 	// Observer receives the run's structured telemetry: trace spans,
 	// counters, gauges, and congestion-heat snapshots (see internal/obs).
@@ -122,13 +123,34 @@ const (
 // SteinerModes lists the accepted Stage-1 construction objectives.
 func SteinerModes() []string { return []string{SteinerPD, SteinerCostDist} }
 
-// Validate checks the engine-independent rules on p: at least one rip-up
-// pass, a known Steiner mode, mcf knobs in range (0 means the engine
-// default) and a well-formed buffer library. It is the one owner of these
-// rules: every pipeline checks them before it starts, and
-// backend.Normalize before a request is keyed, so a bad value is a client
-// error rather than a failed run.
+// Validate checks the engine-independent rules on p: every numeric field
+// in its domain, at least one rip-up pass, a known Steiner mode, mcf knobs
+// in range (0 means the engine default) and a well-formed buffer library.
+// It is the one owner of these rules: every pipeline checks them before it
+// starts, and backend.Normalize before a request is keyed, so a bad value
+// is a client error rather than a failed run. Each domain check is written
+// so that NaN fails it.
 func (p Params) Validate() error {
+	if !(p.Alpha >= 0 && p.Alpha <= 1) {
+		return fmt.Errorf("core: Alpha %g outside [0,1]", p.Alpha)
+	}
+	if a := p.RouteOpt.Alpha; !(a >= 0 && a <= 1) {
+		return fmt.Errorf("core: RouteOpt.Alpha %g outside [0,1]", a)
+	}
+	if w := p.RouteOpt.LengthWeight; !(w >= 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("core: RouteOpt.LengthWeight %g is not finite and non-negative", w)
+	}
+	// Every edge and site cost of the Stage-4 search is then positive, as
+	// its bounds assume (DESIGN.md "Bounded Stage-4 search").
+	if op := p.RouteOpt.OverflowPenalty; !(op > 0) || math.IsInf(op, 1) {
+		return fmt.Errorf("core: RouteOpt.OverflowPenalty %g is not finite and positive", op)
+	}
+	if p.Capacity < 0 {
+		return fmt.Errorf("core: Capacity %d < 0", p.Capacity)
+	}
+	if t := p.TargetStage1Avg; !(t >= 0) || math.IsInf(t, 1) {
+		return fmt.Errorf("core: TargetStage1Avg %g is not finite and non-negative", t)
+	}
 	if p.MaxRipupPasses < 1 {
 		return fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
 	}
@@ -233,18 +255,18 @@ type state struct {
 	done   []uint64  // reworked two-paths of the current net: sorted (head, tail) tile-index pairs
 	walk   []geom.Pt // the ripped two-path, tail to head: the reconnection search's incumbent
 	splice splicer
-	slots  []evalSlot // per worker slot of refreshDelays and snapshot
+	slots  []evalSlot // per worker slot of Stage 1 and refreshDelays
+
+	// The sink delays of the stage's one evaluation (refreshDelays), which
+	// its snapshot reduces: net i's are ds[off[i]:off[i+1]], in net order.
+	off []int
+	ds  []float64
 
 	// With an observer attached: the per-net event buffers of the
 	// parallel sections (Stage 1 and every delay refresh), and the heat
 	// fields of the stage snapshots. Both are made once per run.
 	netEvs            *obs.IndexBuffers
 	wireHeat, bufHeat []float64
-	snap              struct {
-		fail, ok []bool    // per net
-		off      []int     // net i's sink delays are ds[off[i]:off[i+1]]
-		ds       []float64 // per sink, in net order
-	}
 }
 
 // siteCheck is assignNet's per-tile bookkeeping, epoch-stamped so each net
@@ -377,9 +399,10 @@ type pipeStage struct {
 	f   func() error
 }
 
-// execute drives a pipeline to completion: the run span, per-stage timing
-// and snapshot accounting, and result assembly. skipLast drops the final
-// stage (Params.SkipStage4 for the rabid pipeline's ablations).
+// execute drives a pipeline to completion: the run span, per-stage timing,
+// the one delay evaluation that ends every stage, snapshot accounting, and
+// result assembly. skipLast drops the final stage (Params.SkipStage4 for
+// the rabid pipeline's ablations).
 func (st *state) execute(stages []pipeStage, skipLast bool) (*Result, error) {
 	res := &Result{Circuit: st.c, Params: st.p}
 
@@ -401,8 +424,11 @@ func (st *state) execute(stages []pipeStage, skipLast bool) (*Result, error) {
 		if err := f(); err != nil {
 			return fmt.Errorf("core: stage %d: %w", stage, err)
 		}
-		s := st.snapshot(stage) //rabid:allow ctxflow snapshot accounting must run to completion once a stage finished: cancelling mid-accounting would corrupt a completed run's stats, and the next stage-boundary checkpoint aborts promptly anyway
-		s.CPU = time.Since(t0)  //rabid:allow wallclock stage CPU is the tables' cpu(s) column, printed untapped
+		if err := st.refreshDelays(); err != nil {
+			return fmt.Errorf("core: stage %d: %w", stage, err)
+		}
+		s := st.snapshot(stage)
+		s.CPU = time.Since(t0) //rabid:allow wallclock stage CPU is the tables' cpu(s) column, printed untapped
 		res.Stages = append(res.Stages, s)
 		st.emitStage(s)
 		return nil
@@ -514,7 +540,7 @@ func (s *state) stage1() error {
 	for _, rt := range s.routes {
 		route.AddUsage(s.g, rt)
 	}
-	return s.refreshDelays()
+	return nil
 }
 
 // stage2 reduces wire congestion by whole-net rip-up and reroute.
@@ -528,10 +554,8 @@ func (s *state) stage2() error {
 		// priced distance alone.
 		opt.Alpha = 1
 	}
-	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws); err != nil {
-		return err
-	}
-	return s.refreshDelays()
+	_, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws)
+	return err
 }
 
 // The mcf engine's Stage-2 knobs. The rounding seed is fixed: the engine
@@ -571,7 +595,7 @@ func (s *state) stage2MCF() error {
 		s.routes[i] = rt
 		route.AddUsage(s.g, rt)
 	}
-	return s.refreshDelays()
+	return nil
 }
 
 // stage3 assigns buffer sites to every net with the length-based DP.
@@ -607,7 +631,7 @@ func (s *state) stage3() error {
 			return err
 		}
 	}
-	return s.refreshDelays()
+	return nil
 }
 
 // assignNet runs the DP for net i on its current route and commits the
@@ -734,10 +758,13 @@ func (s *state) stage4() error {
 			return err
 		}
 	}
-	return s.refreshDelays()
+	return nil
 }
 
-// reworkNet reroutes net i one two-path at a time.
+// reworkNet reroutes net i one two-path at a time. The net's wires are
+// removed once, before its first two-path, and registered once, after its
+// last or on the way out of an error: every search runs with the whole net
+// removed, and nothing else writes the graph's wire usage meanwhile.
 func (s *state) reworkNet(i int) error {
 	n := s.c.Nets[i]
 	ropt := s.p.RouteOpt
@@ -750,6 +777,8 @@ func (s *state) reworkNet(i int) error {
 			s.obs.Observe(obs.Event{Kind: obs.KindSpanEnd, Scope: "net.rework", Stage: s.stage, Net: n.ID, Dur: obs.Since(s.obs, t0)})
 		}()
 	}
+	route.RemoveUsage(s.g, s.routes[i])
+	defer func() { route.AddUsage(s.g, s.routes[i]) }()
 	// The two-paths are re-enumerated after every splice, because the pick
 	// order follows the new tree's node numbering; a two-path is named by
 	// its end tiles, packed as (head, tail) tile indices into a sorted set.
@@ -777,13 +806,11 @@ func (s *state) reworkNet(i int) error {
 		tail := rt.Tile[pick[len(pick)-1]]
 		nPaths++
 
-		// Remove the whole net's wires, rebuild the tree with the new
-		// reconnection, and re-register. Blocked tiles are the tree tiles
-		// that must not be crossed: everything except the ripped interior
-		// and the endpoints themselves. The mask comes from the workspace
-		// and is cleared entry-by-entry right after the search, keeping
-		// each two-path O(tree) instead of O(grid).
-		route.RemoveUsage(s.g, rt)
+		// Blocked tiles are the tree tiles that must not be crossed:
+		// everything except the ripped interior and the endpoints
+		// themselves. The mask comes from the workspace and is cleared
+		// entry-by-entry right after the search, keeping each two-path
+		// O(tree) instead of O(grid).
 		blocked := s.ws.BlockedMask(s.g.NumTiles()) //rabid:allow allocfree inlined grow path: the mask is sized once per workspace
 		for _, t := range rt.Tile {
 			blocked[s.g.TileIndex(t)] = true
@@ -811,7 +838,11 @@ func (s *state) reworkNet(i int) error {
 			if s.obs != nil {
 				s.obs.Observe(obs.Event{Kind: obs.KindCounter, Scope: "rework.noreconnect", Stage: s.stage, Net: n.ID, Value: 1})
 			}
-			route.AddUsage(s.g, rt)
+			continue
+		}
+		if ripped(rt, pick, newPath) && s.splice.keepsOwn(rt) {
+			// The search kept the ripped two-path, and the splice would
+			// rebuild the tree node for node: keep it.
 			continue
 		}
 		// The spliced tree is built into a recycled carcass, and the old
@@ -819,13 +850,25 @@ func (s *state) reworkNet(i int) error {
 		nt := s.ws.TakeTree() //rabid:allow allocfree fresh tree only when the recycle pool is empty; each splice recycles the tree it replaces
 		if err := s.splice.splice(rt, pick, newPath, nt); err != nil {
 			s.ws.Recycle(nt)
-			route.AddUsage(s.g, rt)
 			return err
 		}
 		s.routes[i] = nt
-		route.AddUsage(s.g, nt)
 		s.ws.Recycle(rt)
 	}
+}
+
+// ripped reports whether path, head..tail, is the two-path pick of rt
+// itself.
+func ripped(rt *rtree.Tree, pick []int, path []geom.Pt) bool {
+	if len(path) != len(pick) {
+		return false
+	}
+	for k, v := range pick {
+		if path[k] != rt.Tile[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // dpLibrary converts the planning library into the DP's per-net view for a
@@ -885,8 +928,11 @@ func (s *state) addDemand(rt *rtree.Tree, d float64) {
 	}
 }
 
-// refreshDelays recomputes the per-net maximum sink delay over the worker
-// pool (each worker writes only its own net's slot).
+// refreshDelays evaluates every net's sink delays once, at the end of each
+// stage, over the worker pool: net i's land in its own span
+// ds[off[i]:off[i+1]] of the run's flat buffer, which the stage's snapshot
+// reduces, and their maximum in delays[i], which orders the next stage.
+// Each worker writes only its own net's slots.
 //
 // An evaluator failure means the net's route or buffer assignment is
 // structurally broken, so it is propagated — never swallowed: recording 0
@@ -895,15 +941,22 @@ func (s *state) addDemand(rt *rtree.Tree, d float64) {
 // caller that ignores the error orders such nets deterministically as the
 // most critical. All broken nets are reported, joined in net-index order.
 func (s *state) refreshDelays() error {
-	evs := s.netEvents(len(s.routes))
-	slots := s.evalSlots(len(s.routes))
-	err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.routes), func(w, i int) error {
+	n := len(s.routes)
+	s.off = slices.Grow(s.off[:0], n+1)[:n+1]
+	for i, rt := range s.routes {
+		s.off[i+1] = s.off[i] + len(rt.SinkNode)
+	}
+	s.ds = slices.Grow(s.ds[:0], s.off[n])[:s.off[n]]
+	evs := s.netEvents(n)
+	slots := s.evalSlots(n)
+	err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, n, func(w, i int) error {
 		ds, err := s.sinkDelays(&slots[w], s.routes[i], i)
 		if err != nil {
 			s.delays[i] = math.Inf(1)
 			evs.Emit(i, obs.Event{Kind: obs.KindCounter, Scope: "delay.eval_errors", Stage: s.stage, Net: s.c.Nets[i].ID, Value: 1})
 			return fmt.Errorf("core: net %d: delay evaluation: %w", s.c.Nets[i].ID, err)
 		}
+		copy(s.ds[s.off[i]:s.off[i+1]], ds)
 		m := 0.0
 		for _, d := range ds {
 			if d > m {
@@ -933,7 +986,10 @@ func (s *state) orderByDelay(descending bool) []int {
 	return order
 }
 
-// snapshot gathers the Table II statistics for the current state.
+// snapshot gathers the Table II statistics for the current state. Its
+// delay columns reduce the sink delays of the stage's refreshDelays, which
+// ran on the same routes and buffers, sequentially in net-index order so
+// the stats are bit-identical for every worker count.
 func (s *state) snapshot(stage int) StageStats {
 	ws := s.g.WireCongestion()
 	bs := s.g.BufferDensity()
@@ -946,51 +1002,20 @@ func (s *state) snapshot(stage int) StageStats {
 		BufAvg:    bs.Avg,
 		Buffers:   bs.Buffers,
 	}
-	// The per-net accounting (dominated by the Elmore evaluation) fans out
-	// over the worker pool into per-net slots — each net's sink delays into
-	// its own span of one flat buffer; the floating-point delay reduction
-	// below runs sequentially in net-index order so the stats are
-	// bit-identical for every worker count.
-	n := len(s.routes)
-	sn := &s.snap
-	sn.fail, sn.ok = growBools(sn.fail, n), growBools(sn.ok, n)
-	if cap(sn.off) < n+1 {
-		sn.off = make([]int, n+1)
-	}
-	sn.off = sn.off[:n+1]
 	wireTiles := 0
+	var dst delay.Stats
 	for i, rt := range s.routes {
-		sn.off[i+1] = sn.off[i] + len(rt.SinkNode)
 		wireTiles += rt.NumEdges()
-	}
-	if cap(sn.ds) < sn.off[n] {
-		sn.ds = make([]float64, sn.off[n])
-	}
-	sn.ds = sn.ds[:sn.off[n]]
-	slots := s.evalSlots(n)
-	_ = par.ForEachWorker(s.p.Workers, n, func(w, i int) error {
-		rt := s.routes[i]
 		if s.hasAsg[i] {
-			sn.fail[i] = !s.asg[i].Feasible()
-		} else {
+			if !s.asg[i].Feasible() {
+				st.Fails++
+			}
+		} else if rt.NumEdges() > s.c.Nets[i].L {
 			// Before buffering, a net fails whenever its driver would have
 			// to drive more than L tile units on its own.
-			sn.fail[i] = rt.NumEdges() > s.c.Nets[i].L
-		}
-		if ds, err := s.sinkDelays(&slots[w], rt, i); err == nil {
-			copy(sn.ds[sn.off[i]:sn.off[i+1]], ds)
-			sn.ok[i] = true
-		}
-		return nil
-	})
-	var dst delay.Stats
-	for i := 0; i < n; i++ {
-		if sn.fail[i] {
 			st.Fails++
 		}
-		if sn.ok[i] {
-			dst.Add(sn.ds[sn.off[i]:sn.off[i+1]])
-		}
+		dst.Add(s.ds[s.off[i]:s.off[i+1]])
 	}
 	st.WirelenMm = float64(wireTiles) * s.c.TileUm / 1000
 	st.MaxDelayPs = dst.MaxPs()

@@ -258,6 +258,51 @@ func TestParamsValidate(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("in-range params refused: %v", err)
 	}
+
+	// Each numeric domain: its boundary values are accepted, one step
+	// outside is refused, and so are NaN and ±Inf.
+	below := func(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
+	above := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	domains := []struct {
+		name     string
+		set      func(*Params, float64)
+		accepted []float64
+		refused  []float64
+	}{
+		{"Alpha", func(p *Params, v float64) { p.Alpha = v },
+			[]float64{0, 1}, []float64{below(0), above(1)}},
+		{"RouteOpt.Alpha", func(p *Params, v float64) { p.RouteOpt.Alpha = v },
+			[]float64{0, 1}, []float64{below(0), above(1)}},
+		{"RouteOpt.LengthWeight", func(p *Params, v float64) { p.RouteOpt.LengthWeight = v },
+			[]float64{0, math.MaxFloat64}, []float64{below(0)}},
+		{"RouteOpt.OverflowPenalty", func(p *Params, v float64) { p.RouteOpt.OverflowPenalty = v },
+			[]float64{above(0), math.MaxFloat64}, []float64{0}},
+		{"TargetStage1Avg", func(p *Params, v float64) { p.TargetStage1Avg = v },
+			[]float64{0, math.MaxFloat64}, []float64{below(0)}},
+		{"Capacity", func(p *Params, v float64) { p.Capacity = int(v) },
+			[]float64{0}, []float64{-1}},
+	}
+	for _, d := range domains {
+		refused := d.refused
+		if d.name != "Capacity" {
+			refused = append(refused, nonFinite...)
+		}
+		for _, v := range d.accepted {
+			p := DefaultParams()
+			d.set(&p, v)
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s = %v refused: %v", d.name, v, err)
+			}
+		}
+		for _, v := range refused {
+			p := DefaultParams()
+			d.set(&p, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", d.name, v)
+			}
+		}
+	}
 }
 
 func TestRunOnGeneratedBenchmark(t *testing.T) {

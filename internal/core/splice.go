@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -16,6 +17,8 @@ type splicer struct {
 	b        rtree.Builder
 	interior []bool    // per old node: on the ripped two-path's interior
 	sinks    []geom.Pt // the old tree's sink tiles
+	low      []geom.Pt // per node: the smallest (Y, X) tile of its subtree
+	depth    []int     // per node: its depth below the root
 }
 
 // splice builds into nt (emptied first) the route tree rt with the
@@ -67,6 +70,47 @@ func (sp *splicer) splice(rt *rtree.Tree, pick []int, newPath []geom.Pt, nt *rtr
 		sp.sinks = append(sp.sinks, rt.Tile[sn])
 	}
 	return b.Build(nt, rt.Tile[0], sp.sinks)
+}
+
+// keepsOwn reports whether splicing rt with one of its own two-paths,
+// unchanged, rebuilds rt node for node, so that Stage 4 may keep rt when
+// the reconnection search returns the ripped two-path. Such a splice hands
+// the builder exactly rt's edges, and the builder numbers a tree in
+// ascending (low, depth) order, where low(v) is the smallest tile of v's
+// subtree in (Y, X) order: each node is inserted at the turn of that tile,
+// after its ancestors. rt, a builder output, has no sink-free stub for the
+// rebuild to prune, so it comes back unchanged exactly when its own
+// numbering follows that order. A tree whose build pruned a stub (a
+// reconnection that doubled back) can be numbered otherwise, and then the
+// splice renumbers it.
+func (sp *splicer) keepsOwn(rt *rtree.Tree) bool {
+	n := rt.NumNodes()
+	sp.depth = slices.Grow(sp.depth[:0], n)[:n] //rabid:allow allocfree inlined grow path: sized to the largest tree seen
+	for v := 1; v < n; v++ {
+		p := rt.Parent[v]
+		if p < 0 || p >= v {
+			return false // not parents-first, as every build is
+		}
+		sp.depth[v] = sp.depth[p] + 1
+	}
+	sp.low = append(sp.low[:0], rt.Tile...) //rabid:allow allocfree amortized grow path: sized to the largest tree seen
+	for v := n - 1; v >= 1; v-- {
+		if p := rt.Parent[v]; tileLess(sp.low[v], sp.low[p]) {
+			sp.low[p] = sp.low[v]
+		}
+	}
+	for v := 2; v < n; v++ {
+		a, b := sp.low[v-1], sp.low[v]
+		if !(tileLess(a, b) || a == b && sp.depth[v-1] < sp.depth[v]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tileLess is the builder's cell order on tiles: by Y, then X.
+func tileLess(a, b geom.Pt) bool {
+	return a.Y < b.Y || a.Y == b.Y && a.X < b.X
 }
 
 // growBools returns s resized to n and cleared, reusing its storage when

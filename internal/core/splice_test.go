@@ -367,3 +367,58 @@ func TestSpliceMatchesOracleRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestSpliceUnchangedIsIdentity is the fact Stage 4's skip rests on: when
+// the reconnection search returns the ripped two-path itself, the splice
+// rebuilds the tree node for node exactly when keepsOwn says so, and
+// reworkNet then keeps the tree. Over the random trees of
+// TestSpliceMatchesOracleRandom (the same draws, so the spliced trees of
+// its rework sequences too), splicing every two-path with its own tiles
+// must return equal Tile, Parent and SinkNode if and only if keepsOwn
+// holds. Both sides must occur: a reconnection that doubles back leaves a
+// pruned stub behind, and the tree it built can be renumbered.
+func TestSpliceUnchangedIsIdentity(t *testing.T) {
+	var sp splicer
+	got := &rtree.Tree{}
+	kept, renumbered := 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rt := randomRoute(t, r, 1+r.Intn(80))
+		for step := 0; step < 4; step++ {
+			paths := rt.TwoPaths()
+			keeps := sp.keepsOwn(rt)
+			for _, pick := range paths {
+				own := make([]geom.Pt, len(pick))
+				for k, v := range pick {
+					own[k] = rt.Tile[v]
+				}
+				if err := sp.splice(rt, pick, own, got); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				same := slices.Equal(got.Tile, rt.Tile) && slices.Equal(got.Parent, rt.Parent) && slices.Equal(got.SinkNode, rt.SinkNode)
+				if same != keeps {
+					t.Fatalf("seed %d step %d: splicing two-path %v with its own tiles: unchanged %v, keepsOwn %v\n got  %v %v %v\n want %v %v %v",
+						seed, step, pick, same, keeps, got.Tile, got.Parent, got.SinkNode, rt.Tile, rt.Parent, rt.SinkNode)
+				}
+				if same {
+					kept++
+				} else {
+					renumbered++
+				}
+			}
+			if len(paths) == 0 {
+				break
+			}
+			pick := paths[r.Intn(len(paths))]
+			next := &rtree.Tree{}
+			if err := sp.splice(rt, pick, randomReconnection(r, rt, pick), next); err != nil {
+				break
+			}
+			rt = next
+		}
+	}
+	t.Logf("splicing a two-path with its own tiles: %d kept the tree, %d renumbered it", kept, renumbered)
+	if kept == 0 || renumbered == 0 {
+		t.Fatalf("both outcomes must occur: %d kept, %d renumbered", kept, renumbered)
+	}
+}

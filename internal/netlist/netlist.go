@@ -251,28 +251,13 @@ func ReadJSONLimit(r io.Reader, limit int64) (*Circuit, error) {
 	if err == nil && dec.More() {
 		return nil, fmt.Errorf("netlist: trailing data after circuit JSON")
 	}
-	return validDecoded(&c, err)
-}
-
-// ParseJSON deserializes and validates a circuit held in memory as exactly
-// one JSON value, such as the circuit field of a service request. It
-// decodes from data itself, where ReadJSONLimit would first copy the bytes
-// into a decoder's buffer.
-func ParseJSON(data []byte) (*Circuit, error) {
-	var c Circuit
-	return validDecoded(&c, json.Unmarshal(data, &c))
-}
-
-// validDecoded is the step ReadJSONLimit and ParseJSON share once c is
-// decoded: it reports the decoding error err, or validates c.
-func validDecoded(c *Circuit, err error) (*Circuit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netlist: decode: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &c, nil
 }
 
 // countingReader tracks how many bytes the decoder actually consumed, so

@@ -1,7 +1,7 @@
 // Package par provides the deterministic bounded worker pool behind the
 // order-independent per-net stages of the RABID pipeline (Stage-1 Steiner
-// construction, per-net delay refresh, snapshot accounting) and the
-// per-benchmark fan-out of the experiment suite.
+// construction, the per-net delay evaluation that ends every stage) and
+// the per-benchmark fan-out of the experiment suite.
 //
 // The contract that keeps parallel runs bit-identical to sequential ones:
 // work item i writes only to its own slot of any shared slice, every

@@ -435,3 +435,43 @@ func TestIncumbentCost(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteMemoFreshPerCall: the Eq. (2) site-cost memo lives for one call.
+// On a corridor where L = 2 forces a buffer into each of the two tiles
+// with sites, one of those tiles' buffer usage changes between two
+// BufferAwarePath calls on one workspace. The second call must price the
+// new site cost — with and without an incumbent, whose own pass reads the
+// memo first — so its head cost equals, bit for bit, that of the same
+// search on a fresh workspace, and differs from the first call's.
+func TestSiteMemoFreshPerCall(t *testing.T) {
+	const L = 2
+	tail, head := geom.Pt{X: 0}, geom.Pt{X: 4}
+	walk := []geom.Pt{{X: 0}, {X: 1}, {X: 2}, {X: 3}, {X: 4}}
+	for _, inc := range [][]geom.Pt{nil, walk} {
+		g, err := tile.New(5, 1, []int{0, 0, 2, 0, 2}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		ws := NewWorkspace()
+		if _, err := BufferAwarePath(g, tail, head, L, nil, inc, opt, ws); err != nil {
+			t.Fatal(err)
+		}
+		before := headCost(ws, g, head, L)
+		g.AddBuffer(g.TileIndex(geom.Pt{X: 2}))
+		if _, err := BufferAwarePath(g, tail, head, L, nil, inc, opt, ws); err != nil {
+			t.Fatal(err)
+		}
+		after := headCost(ws, g, head, L)
+		fresh := NewWorkspace()
+		if _, err := BufferAwarePath(g, tail, head, L, nil, inc, opt, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if want := headCost(fresh, g, head, L); math.Float64bits(after) != math.Float64bits(want) {
+			t.Errorf("incumbent %v: after the usage change the reused workspace prices %v, a fresh one %v", inc != nil, after, want)
+		}
+		if after == before {
+			t.Errorf("incumbent %v: head cost %v unchanged by the usage change: the corridor must buffer at the tile", inc != nil, after)
+		}
+	}
+}

@@ -390,6 +390,20 @@ func siteCostClamped(g *tile.Graph, v int, opt *Options) float64 {
 	return c
 }
 
+// siteCostMemo is siteCostClamped with a per-call memo, as edgeCostMemo is
+// for edges: within one search call the buffer usage and demand of g are
+// static (Stage 4 releases a net's buffers before reworking it), so the
+// first evaluation of a tile can be cached under the call's epoch.
+func (ws *Workspace) siteCostMemo(g *tile.Graph, v int, opt *Options) float64 {
+	if ws.scStamp[v] == ws.epoch {
+		return ws.sc[v]
+	}
+	c := siteCostClamped(g, v, opt)
+	ws.scStamp[v] = ws.epoch
+	ws.sc[v] = c
+	return c
+}
+
 // boundSlack is the relative slack of the incumbent bound: a state is
 // pruned only when its cost plus its remaining-cost lower bound exceeds
 // U*(1+boundSlack). On the chain the search returns, g + h <= g* <= U holds
@@ -450,6 +464,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 	ws.begin(g.NumEdges()) //rabid:allow allocfree inlined grow path: begin reallocates edge scratch only when the graph outgrows the workspace
 	ws.growStates(nt * L)  //rabid:allow allocfree inlined grow path: DP state scratch reallocates only when tiles*L outgrows the workspace
 	ws.growTiles(nt)       //rabid:allow allocfree inlined grow path: tile scratch reallocates only when the graph outgrows the workspace
+	ws.growSites(nt)       //rabid:allow allocfree inlined grow path: the site-cost memo reallocates only when the graph outgrows the workspace
 	ep := ws.epoch
 	headIdx := g.TileIndex(head)
 	limit := math.Inf(1)
@@ -564,7 +579,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, i
 			if !bufMoves {
 				continue
 			}
-			if nd := ds + wc + siteCostClamped(g, w, &opt); nd+hw <= limit {
+			if nd := ds + wc + ws.siteCostMemo(g, w, &opt); nd+hw <= limit {
 				ns := w * L
 				if ws.sStamp[ns] != ep {
 					ws.sStamp[ns] = ep
@@ -619,6 +634,7 @@ func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geo
 	if len(ws.incRow) < 2*L {
 		ws.incRow = make([]float64, 2*L) //rabid:allow allocfree cold grow path: the two recurrence rows reallocate only when L outgrows the workspace
 	}
+	ws.growSites(g.NumTiles()) //rabid:allow allocfree inlined grow path: the site-cost memo reallocates only when the graph outgrows the workspace
 	cur, next := ws.incRow[:L], ws.incRow[L:2*L]
 	cur[0] = 0
 	for j := 1; j < L; j++ {
@@ -639,7 +655,7 @@ func (ws *Workspace) incumbentCost(g *tile.Graph, walk []geom.Pt, tail, head geo
 			return 0, false
 		}
 		wc := ws.edgeCostMemo(g, e, opt)
-		site := siteCostClamped(g, wi, opt)
+		site := ws.siteCostMemo(g, wi, opt)
 		buf := math.Inf(1)
 		for j, c := range cur {
 			if j+1 < L {

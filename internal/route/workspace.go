@@ -74,6 +74,13 @@ type Workspace struct {
 	// Dead route trees donated by RipupPass (see Recycle); their storage
 	// backs the next Reroute's tree, making the steady state alloc-free.
 	free []*rtree.Tree
+
+	// Per-call memoized Eq. (2) site costs, one entry per tile
+	// (BufferAwarePath and its incumbent pass price each tile's buffer
+	// move many times; buffer usage and demand are static within one call)
+	// — see siteCostMemo.
+	scStamp []uint64
+	sc      []float64
 }
 
 // NewWorkspace returns an empty Workspace. Arrays are sized lazily by the
@@ -114,6 +121,16 @@ func (ws *Workspace) growStates(n int) {
 	ws.sDist = make([]float64, n)
 	ws.sPred = make([]int32, n)
 	ws.sDone = make([]bool, n)
+}
+
+// growSites sizes the per-tile site-cost memo; like growTiles, growth
+// needs no fill.
+func (ws *Workspace) growSites(n int) {
+	if len(ws.scStamp) >= n {
+		return
+	}
+	ws.scStamp = make([]uint64, n)
+	ws.sc = make([]float64, n)
 }
 
 // --- wavefront heap ----------------------------------------------------

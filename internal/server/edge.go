@@ -109,16 +109,14 @@ var otherScopes = newEdgeScopes("other")
 
 // routeScopes maps a request to the scopes of its route template (never
 // the raw path — per-route metrics must not explode into per-id keys). A
-// request with a nonstandard method gets its label built on the spot.
+// path outside the v1 routes or a nonstandard method gets "other": the
+// registry never drops a series, so a label must not come from what the
+// client sends.
 func routeScopes(r *http.Request) *edgeScopes {
-	tmpl := routeTemplate(r.URL.Path)
-	if tmpl == "" {
-		return otherScopes
-	}
-	if sc := edgeRoutes[[2]string{r.Method, tmpl}]; sc != nil {
+	if sc := edgeRoutes[[2]string{r.Method, routeTemplate(r.URL.Path)}]; sc != nil {
 		return sc
 	}
-	return newEdgeScopes(r.Method + " " + tmpl)
+	return otherScopes
 }
 
 // routeTemplate returns the template of a v1 path, or "" for any other.

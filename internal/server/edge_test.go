@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -174,7 +175,7 @@ func TestRouteLabel(t *testing.T) {
 		{"GET", "/v1/jobs/abc123/events", "GET /v1/jobs/{id}/events"},
 		{"GET", "/v1/healthz", "GET /v1/healthz"},
 		{"HEAD", "/v1/healthz", "HEAD /v1/healthz"},
-		{"PURGE", "/v1/plan", "PURGE /v1/plan"},
+		{"PURGE", "/v1/plan", "other"},
 		{"GET", "/nope", "other"},
 	}
 	for _, c := range cases {
@@ -182,5 +183,45 @@ func TestRouteLabel(t *testing.T) {
 		if got := routeLabel(r); got != c.want {
 			t.Errorf("routeLabel(%s %s) = %q, want %q", c.method, c.path, got, c.want)
 		}
+	}
+}
+
+// TestNonstandardMethodsShareOneLabel: the route label never comes from a
+// client-chosen method, so methods outside the nine standard ones cannot
+// grow /v1/metricz. After 100 requests with the methods M000–M099 on
+// /v1/plan, the scrape holds no http.requests.M… series, and the requests
+// are counted under "other".
+func TestNonstandardMethodsShareOneLabel(t *testing.T) {
+	m := obs.NewMetrics()
+	ts := httptest.NewServer(New(Config{Metrics: m}).Handler())
+	defer ts.Close()
+	for i := 0; i < 100; i++ {
+		req, err := http.NewRequest(fmt.Sprintf("M%03d", i), ts.URL+"/v1/plan", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, b := getJSON(t, ts.URL+"/v1/metricz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metricz: status %d", resp.StatusCode)
+	}
+	var dump struct {
+		Counters map[string]float64 `json:"counters"`
+	}
+	if err := json.Unmarshal(b, &dump); err != nil {
+		t.Fatal(err)
+	}
+	for name := range dump.Counters {
+		if strings.HasPrefix(name, "http.requests.M") {
+			t.Errorf("scrape holds a client-named series %q", name)
+		}
+	}
+	if n := dump.Counters["http.requests.other"]; n != 100 {
+		t.Errorf("http.requests.other = %v, want 100", n)
 	}
 }

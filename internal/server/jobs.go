@@ -268,7 +268,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Journal the decoded request re-serialized, not the wire bytes: this
-	// canonical form is what ExecutePlan replays and what recorded journals
+	// canonical form, the circuit re-marshalled from its decoded struct
+	// included, is what ExecutePlan replays and what recorded journals
 	// hold.
 	reqBody, err := json.Marshal(&req)
 	if err != nil {

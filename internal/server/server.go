@@ -212,11 +212,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Conte
 	return context.WithTimeout(r.Context(), d)
 }
 
-// planRequest is the POST /v1/plan body. Unknown fields are rejected.
+// planRequest is the POST /v1/plan body. Unknown fields are rejected, the
+// circuit's own included: decodeRequest decodes the circuit in the same
+// pass as the envelope.
 type planRequest struct {
-	Circuit   json.RawMessage `json:"circuit"`
-	Params    *planParams     `json:"params,omitempty"`
-	TimeoutMs int64           `json:"timeout_ms,omitempty"`
+	Circuit   *netlist.Circuit `json:"circuit"`
+	Params    *planParams      `json:"params,omitempty"`
+	TimeoutMs int64            `json:"timeout_ms,omitempty"`
 }
 
 // planParams overrides core.DefaultParams field by field; absent fields
@@ -305,13 +307,22 @@ type planResponse struct {
 	Report *core.Report `json:"report"`
 }
 
-// parsePlan turns a decoded plan request into the run inputs: the parsed
-// circuit, the effective parameters (server-owned fields unset — the
-// caller attaches Workers, Observer, and WorkspacePool), and the content
-// key. Errors are client errors (400).
+// validCircuit checks a decoded request's circuit: present, not null, and
+// structurally valid.
+func validCircuit(c *netlist.Circuit) error {
+	if c == nil {
+		return errors.New("server: request has no circuit")
+	}
+	return c.Validate()
+}
+
+// parsePlan turns a decoded plan request into the run inputs: the
+// validated circuit, the effective parameters (server-owned fields unset —
+// the caller attaches Workers, Observer, and WorkspacePool), and the
+// content key. Errors are client errors (400).
 func parsePlan(req *planRequest) (*netlist.Circuit, core.Params, string, error) {
-	c, err := netlist.ParseJSON(req.Circuit)
-	if err != nil {
+	c := req.Circuit
+	if err := validCircuit(c); err != nil {
 		return nil, core.Params{}, "", err
 	}
 	p := core.DefaultParams()
@@ -320,7 +331,7 @@ func parsePlan(req *planRequest) (*netlist.Circuit, core.Params, string, error) 
 	// content address, "rabid+lib" must have its default library spelled
 	// out in the key material, and params no engine could run are a 400
 	// that never takes a run slot.
-	p, err = backend.Normalize(p)
+	p, err := backend.Normalize(p)
 	if err != nil {
 		return nil, core.Params{}, "", err
 	}
@@ -412,9 +423,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // bbpRequest is the POST /v1/bbp body. The circuit must already be
 // decomposed to two-pin nets (the form the paper's comparison uses).
 type bbpRequest struct {
-	Circuit   json.RawMessage `json:"circuit"`
-	Capacity  int             `json:"capacity"`
-	TimeoutMs int64           `json:"timeout_ms,omitempty"`
+	Circuit   *netlist.Circuit `json:"circuit"`
+	Capacity  int              `json:"capacity"`
+	TimeoutMs int64            `json:"timeout_ms,omitempty"`
 }
 
 // bbpResponse carries the baseline's Table V statistics (CPU excluded —
@@ -448,8 +459,8 @@ func (s *Server) handleBBP(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, raw, &req) {
 		return
 	}
-	c, err := netlist.ParseJSON(req.Circuit)
-	if err != nil {
+	c := req.Circuit
+	if err := validCircuit(c); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -574,8 +585,8 @@ const maxPooledBody = 1 << 20
 // On success the handler owns the buffer until it hands it back with
 // putBody, and nothing may read its bytes after that. What outlives the
 // handler is copied first: the body digest hashes the bytes, the decoder
-// copies the circuit into its json.RawMessage, and the job path journals a
-// re-marshalled request.
+// builds the circuit from them, and the job path journals a re-marshalled
+// request.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	buf := s.bodies.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -611,8 +622,9 @@ func (s *Server) decode(w http.ResponseWriter, raw []byte, dst any) bool {
 	return true
 }
 
-// decodeRequest decodes one request JSON object into dst, rejecting
-// unknown fields and trailing data.
+// decodeRequest decodes one request JSON object into dst in one pass,
+// rejecting unknown fields at any depth (the circuit's included) and
+// trailing data.
 func decodeRequest(raw []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

@@ -377,6 +377,90 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCircuitBadRequests: the circuit is decoded in the envelope's one
+// pass, so an unknown field anywhere inside it is a 400 like one in the
+// envelope or params, and so are a missing and a null circuit, on every
+// POST endpoint. Nothing is cached, run or submitted, and the same circuit
+// without the stray field plans.
+func TestCircuitBadRequests(t *testing.T) {
+	m := obs.NewMetrics()
+	ts := httptest.NewServer(New(Config{Metrics: m}).Handler())
+	defer ts.Close()
+	cj, err := json.Marshal(testCircuit(t, 1).DecomposeTwoPin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuit := string(cj)
+	cases := []struct{ name, circuit, wantErr string }{
+		{"unknown circuit field", strings.TrimSuffix(circuit, "}") + `,"colour":"red"}`, "unknown field"},
+		{"unknown net field", strings.Replace(circuit, `"l":`, `"lenght":3,"l":`, 1), "unknown field"},
+		{"unknown pin field", strings.Replace(circuit, `"pos":`, `"layer":2,"pos":`, 1), "unknown field"},
+		{"missing circuit", "", "no circuit"},
+		{"null circuit", "null", "no circuit"},
+	}
+	body := func(path, circuit string) []byte {
+		var fields []string
+		if circuit != "" {
+			fields = append(fields, `"circuit":`+circuit)
+		}
+		if path == "/v1/bbp" {
+			fields = append(fields, `"capacity":2`)
+		}
+		return []byte("{" + strings.Join(fields, ",") + "}")
+	}
+	for _, path := range []string{"/v1/plan", "/v1/bbp", "/v1/jobs"} {
+		for _, tc := range cases {
+			resp, b := postJSON(t, ts.URL+path, body(path, tc.circuit))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, body %s, want 400", path, tc.name, resp.StatusCode, b)
+				continue
+			}
+			if !strings.Contains(string(b), tc.wantErr) {
+				t.Errorf("%s %s: error %s does not say %q", path, tc.name, b, tc.wantErr)
+			}
+		}
+	}
+	if misses, runs, jobs := m.Counter("cache.miss"), m.Span("run").Count, m.Counter("server.job.submitted"); misses != 0 || runs != 0 || jobs != 0 {
+		t.Errorf("refused circuits went on: %v misses, %d runs, %v jobs", misses, runs, jobs)
+	}
+	for _, path := range []string{"/v1/plan", "/v1/bbp"} {
+		if resp, b := postJSON(t, ts.URL+path, body(path, circuit)); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: the circuit without a stray field: status %d, body %s", path, resp.StatusCode, b)
+		}
+	}
+}
+
+// TestPlanParamDomains: each out-of-domain numeric parameter is a 400
+// before keying — a negative route length weight, a radius tradeoff
+// outside [0,1] at either stage, a negative capacity, a non-positive
+// overflow penalty and a negative calibration target. Each is sent twice;
+// nothing is cached or run.
+func TestPlanParamDomains(t *testing.T) {
+	m := obs.NewMetrics()
+	ts := httptest.NewServer(New(Config{Metrics: m}).Handler())
+	defer ts.Close()
+	c := testCircuit(t, 1)
+	for _, extra := range []string{
+		`,"params":{"route_length_weight":-1}`,
+		`,"params":{"alpha":5}`,
+		`,"params":{"capacity":-3}`,
+		`,"params":{"route_alpha":-2}`,
+		`,"params":{"route_overflow_penalty":0}`,
+		`,"params":{"route_overflow_penalty":-5}`,
+		`,"params":{"target_stage1_avg":-1}`,
+	} {
+		for try := 0; try < 2; try++ {
+			resp, body := postJSON(t, ts.URL+"/v1/plan", planBody(t, c, extra))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400 (body %s)", extra, resp.StatusCode, body)
+			}
+		}
+	}
+	if misses, runs := m.Counter("cache.miss"), m.Span("run").Count; misses != 0 || runs != 0 {
+		t.Errorf("rejected requests reached the cache: %v misses, %d runs", misses, runs)
+	}
+}
+
 // TestPlanParamsAffectResultAndKey: a params override reaches the core run
 // (skip_stage4 drops the report to three stages) and changes the content
 // key, so variant requests never alias in the cache.
