@@ -176,45 +176,6 @@ func BenchmarkRunSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkRunSuiteSteiner compares the two Stage-1 constructions over the
-// full ten-circuit suite: "pd" (Prim–Dijkstra tradeoff at the per-circuit
-// alpha) versus "costdist" (the Held–Perner cost-distance tree with
-// w = 1/L, Stage 2 rerouted at alpha = 1). ns/op per mode is the
-// end-to-end cost of the alternative objective; scripts/bench_compare.sh
-// snapshots both rows into BENCH_route.json.
-func BenchmarkRunSuiteSteiner(b *testing.B) {
-	names := append(append([]string{}, exp.CBLNames...), exp.RandomNames...)
-	for _, mode := range SteinerModes() {
-		b.Run(mode, func(b *testing.B) {
-			type job struct {
-				c *Circuit
-				p Params
-			}
-			jobs := make([]job, len(names))
-			for i, name := range names {
-				g := coarseGrids[name]
-				c, err := GenerateBenchmark(name, GenOptions{GridW: g[0], GridH: g[1]})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := BenchmarkParams(name)
-				p.SteinerMode = mode
-				p.Workers = 1
-				jobs[i] = job{c, p}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, j := range jobs {
-					if _, err := Run(j.c, j.p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBackendPlan compares the three planning engines on coarse apte
 // — the backend registry's cross-engine cost picture (ns/op per engine is
 // the CPU column of the Table VI comparison). Sub-benchmarks are named by

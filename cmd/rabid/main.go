@@ -52,7 +52,6 @@ type config struct {
 	workers        int
 	backend        string
 	library        string
-	steiner        string
 	mcfPhases      int
 	mcfEpsilon     float64
 	svgOut         string
@@ -81,7 +80,6 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for the per-net stages (0 = all CPUs; results are identical for every value)")
 	flag.StringVar(&cfg.backend, "backend", "", "planning engine: "+strings.Join(rabid.Backends(), ", ")+" (default rabid)")
 	flag.StringVar(&cfg.library, "library", "", "buffer-library JSON file for -backend rabid+lib: out_res in ohms, in_cap in farads, intrinsic in seconds (default: the built-in 0.18 um library)")
-	flag.StringVar(&cfg.steiner, "steiner", "", "Stage-1 construction: "+strings.Join(rabid.SteinerModes(), ", ")+" (default pd; costdist is the Held-Perner cost-distance tree)")
 	flag.IntVar(&cfg.mcfPhases, "mcf-phases", 0, "mcf engine: number of fractional-routing phases (0 = engine default)")
 	flag.Float64Var(&cfg.mcfEpsilon, "mcf-epsilon", 0, "mcf engine: dual-update epsilon in (0,1) (0 = engine default)")
 	flag.StringVar(&cfg.svgOut, "svg", "", "write an SVG of the final plan (blocks, congestion, routes, buffers)")
@@ -112,7 +110,6 @@ func run(cfg config) (err error) {
 	params.MaxRipupPasses = cfg.passes
 	params.Workers = cfg.workers
 	params.Backend = cfg.backend
-	params.SteinerMode = cfg.steiner
 	params.MCFPhases = cfg.mcfPhases
 	params.MCFEpsilon = cfg.mcfEpsilon
 	if cfg.library != "" {

@@ -1,9 +1,6 @@
 package rabid
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestFacadeSubsystems exercises every re-exported subsystem end to end on
 // one small run, ensuring the public API is sufficient without touching
@@ -16,25 +13,6 @@ func TestFacadeSubsystems(t *testing.T) {
 	res, err := Run(c, BenchmarkParams("hp"))
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Delay evaluator.
-	de, err := NewDelayEvaluator(Default018(), c.TileUm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := de.SinkDelays(res.Routes[0], res.Assignments[0].Buffers)
-	if err != nil || len(ds) == 0 {
-		t.Fatalf("delay eval: %v %v", ds, err)
-	}
-
-	// Slew evaluator + L derivation.
-	se, err := NewSlewEvaluator(Default018(), c.TileUm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := se.DeriveL(400e-12); l < 1 {
-		t.Errorf("DeriveL = %d", l)
 	}
 
 	// Layer promotion.
@@ -53,24 +31,6 @@ func TestFacadeSubsystems(t *testing.T) {
 	}
 	if plan.TotalRecommended == 0 {
 		t.Error("site plan empty")
-	}
-
-	// Annealing.
-	ar, err := AnnealFloorplan([]AnnealBlock{{Area: 100}, {Area: 200}, {Area: 50}}, nil,
-		AnnealOptions{Seed: 1, Moves: 500})
-	if err != nil || len(ar.Rects) != 3 {
-		t.Fatalf("anneal: %v %v", ar, err)
-	}
-
-	// Visualization.
-	if svg := PlanSVG(res); !strings.Contains(svg, "<svg") {
-		t.Error("SVG missing")
-	}
-	if a := CongestionASCII(res); len(strings.Split(strings.TrimSpace(a), "\n")) != c.GridH {
-		t.Error("congestion ASCII wrong height")
-	}
-	if a := BufferDensityASCII(res); len(a) == 0 {
-		t.Error("buffer ASCII empty")
 	}
 
 	// Report.
@@ -93,40 +53,5 @@ func TestFacadeAnnealedGeneration(t *testing.T) {
 	}
 	if len(c.Blocks) != 9 {
 		t.Errorf("apte annealed has %d blocks", len(c.Blocks))
-	}
-}
-
-func TestFacadeDecap(t *testing.T) {
-	c, err := GenerateBenchmark("apte", GenOptions{GridW: 10, GridH: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(c, BenchmarkParams("apte"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := AnalyzeDecap(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalUsed != res.TotalBuffers() || rep.TotalDecapF <= 0 {
-		t.Errorf("decap report inconsistent: %+v", rep)
-	}
-}
-
-func TestFacadeEvaluateFloorplans(t *testing.T) {
-	spec, err := BenchmarkSpec("apte")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := EvaluateFloorplans(spec, FlowOptions{
-		Seeds:  []int64{5, 6},
-		GenOpt: GenOptions{GridW: 10, GridH: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 2 || cands[0].Score > cands[1].Score {
-		t.Errorf("candidates not ranked: %v", cands)
 	}
 }

@@ -86,18 +86,24 @@ func Names() []string {
 // returning the Params every downstream consumer — the engine itself and
 // the cache-key derivation — must use:
 //
-//   - Backend "" becomes DefaultName and SteinerMode "" becomes "pd", so
-//     the empty and explicit spellings of the defaults share one content
-//     address;
+//   - Backend "" becomes DefaultName, so the empty and explicit spellings
+//     of the default engine share one content address;
+//   - the engine-independent rules are Params.Validate's, run before any
+//     field is rewritten, so an out-of-domain value is a 400 on every
+//     engine, in a field the engine ignores too;
 //   - "rabid+lib" with an empty Library gets tech.DefaultPlanningLibrary018,
 //     so the default library is spelled out in the key and a future default
 //     change cannot silently alias old cache entries;
 //   - the per-engine rules: "rabid" and "mcf" reject a non-empty Library
 //     (they run the single-type DP), and every engine but "mcf" rejects
-//     non-zero MCFPhases or MCFEpsilon. Accepting, then ignoring, a knob
-//     would mint distinct keys for byte-identical results;
-//   - the engine-independent rules are Params.Validate's, run last, so a
-//     bad request fails before it is keyed or queued.
+//     non-zero MCFPhases or MCFEpsilon;
+//   - every field the engine ignores is reset to its core.DefaultParams
+//     value, so a request that differs from the default only there shares
+//     the default's content address instead of minting a second key for
+//     the same bytes. Under "mcf" these are RouteOpt.Alpha (its router
+//     runs at alpha 1), MaxRipupPasses and SkipStage4 (it has no rip-up
+//     and no Stage 4); on every engine, TargetStage1Avg once Capacity is
+//     set (the target only calibrates a zero capacity).
 //
 // Normalize must run before core.PlanKey / cache admission; the server and
 // facade both do.
@@ -108,8 +114,8 @@ func Normalize(p core.Params) (core.Params, error) {
 	if _, ok := registry[p.Backend]; !ok {
 		return p, fmt.Errorf("backend: unknown engine %q (have %v)", p.Backend, Names())
 	}
-	if p.SteinerMode == "" {
-		p.SteinerMode = core.SteinerPD
+	if err := p.Validate(); err != nil {
+		return p, err
 	}
 	if p.Backend == NameRabidLib {
 		if len(p.Library) == 0 {
@@ -118,10 +124,16 @@ func Normalize(p core.Params) (core.Params, error) {
 	} else if len(p.Library) > 0 {
 		return p, fmt.Errorf("backend: engine %q does not take a buffer library (use %q)", p.Backend, NameRabidLib)
 	}
-	if p.Backend != NameMCF && (p.MCFPhases != 0 || p.MCFEpsilon != 0) {
+	def := core.DefaultParams()
+	if p.Backend == NameMCF {
+		p.RouteOpt.Alpha, p.MaxRipupPasses, p.SkipStage4 = def.RouteOpt.Alpha, def.MaxRipupPasses, def.SkipStage4
+	} else if p.MCFPhases != 0 || p.MCFEpsilon != 0 {
 		return p, fmt.Errorf("backend: engine %q does not take mcf phases or epsilon (use %q)", p.Backend, NameMCF)
 	}
-	return p, p.Validate()
+	if p.Capacity > 0 {
+		p.TargetStage1Avg = def.TargetStage1Avg
+	}
+	return p, nil
 }
 
 // Plan normalizes p, resolves the engine, and runs it.

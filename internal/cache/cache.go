@@ -43,10 +43,11 @@ import (
 // key on replay (cmd/journal replay), so a bump fails key verification for
 // every recorded entry, not just the changed ones. Such entries replay
 // with result and event mismatches instead, which name exactly the
-// requests whose results moved. Version 4 dropped two retired request
-// fields from the material: journals recorded under version 3 no longer
-// verify (DESIGN.md "Planning backends").
-const keyVersion = 4
+// requests whose results moved. Version 5 dropped the retired Steiner
+// mode from the material, and backend.Normalize now resets the fields an
+// engine ignores before keying: journals recorded under version 4 no
+// longer verify (DESIGN.md "Planning backends").
+const keyVersion = 5
 
 // planMaterial enumerates, exhaustively and in a fixed order, every field
 // of a plan request that can affect the result. Fields deliberately
@@ -74,20 +75,10 @@ type planMaterial struct {
 	// same engine and must share one address, and "rabid+lib" must have its
 	// default library spelled out so a future default change cannot alias
 	// entries computed under the old one.
-	Backend     string         `json:"backend"`
-	Library     []tech.LibGate `json:"library,omitempty"`
-	SteinerMode string         `json:"steiner_mode"`
-	MCFPhases   int            `json:"mcf_phases"`
-	MCFEpsilon  float64        `json:"mcf_epsilon"`
-}
-
-// steinerModeKey canonicalizes a Steiner mode for key material: "" is the
-// Prim–Dijkstra default.
-func steinerModeKey(mode string) string {
-	if mode == "" {
-		return "pd"
-	}
-	return mode
+	Backend    string         `json:"backend"`
+	Library    []tech.LibGate `json:"library,omitempty"`
+	MCFPhases  int            `json:"mcf_phases"`
+	MCFEpsilon float64        `json:"mcf_epsilon"`
 }
 
 // PlanKey derives the content address of a RABID run: a hex SHA-256 over
@@ -114,7 +105,6 @@ func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 		DisableDemandTerm: p.DisableDemandTerm,
 		Backend:           p.Backend,
 		Library:           p.Library,
-		SteinerMode:       steinerModeKey(p.SteinerMode),
 		MCFPhases:         p.MCFPhases,
 		MCFEpsilon:        p.MCFEpsilon,
 	})

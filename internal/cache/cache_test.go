@@ -88,7 +88,6 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 		"DisableDemandTerm": {func(p *core.Params) { p.DisableDemandTerm = true }, true},
 		"Backend":           {func(p *core.Params) { p.Backend = "mcf" }, true},
 		"Library":           {func(p *core.Params) { p.Library = tech.DefaultPlanningLibrary018() }, true},
-		"SteinerMode":       {func(p *core.Params) { p.SteinerMode = core.SteinerCostDist }, true},
 		"MCFPhases":         {func(p *core.Params) { p.MCFPhases = 20 }, true},
 		"MCFEpsilon":        {func(p *core.Params) { p.MCFEpsilon = 0.2 }, true},
 		"Workers":           {func(p *core.Params) { p.Workers = 3 }, false},

@@ -65,14 +65,6 @@ type Params struct {
 	// backend.Normalize refuses non-zero values on any other engine.
 	MCFPhases  int
 	MCFEpsilon float64
-	// SteinerMode selects the Stage-1 construction objective ("pd",
-	// "costdist"; "" means "pd"). "pd" is the paper's Prim–Dijkstra
-	// tradeoff tree at Alpha. "costdist" builds Held–Perner-style
-	// cost-distance trees with per-net weight 1/L, and reroutes Stage 2 at
-	// alpha = 1 (pure congestion-priced shortest paths): the tradeoff is
-	// carried per net by the construction objective instead of the global
-	// Alpha, so the reroute can optimize distance under congestion alone.
-	SteinerMode string
 	// Backend names the planning engine ("rabid", "rabid+lib", "mcf"; ""
 	// means "rabid"). The core pipeline does not dispatch on it — that is
 	// internal/backend's job — but it lives here so one Params value
@@ -114,18 +106,9 @@ type Params struct {
 	WorkspacePool *route.Pool
 }
 
-// Steiner-mode names accepted by Params.SteinerMode.
-const (
-	SteinerPD       = "pd"
-	SteinerCostDist = "costdist"
-)
-
-// SteinerModes lists the accepted Stage-1 construction objectives.
-func SteinerModes() []string { return []string{SteinerPD, SteinerCostDist} }
-
 // Validate checks the engine-independent rules on p: every numeric field
-// in its domain, at least one rip-up pass, a known Steiner mode, mcf knobs
-// in range (0 means the engine default) and a well-formed buffer library.
+// in its domain, at least one rip-up pass, mcf knobs in range (0 means the
+// engine default) and a well-formed buffer library.
 // It is the one owner of these rules: every pipeline checks them before it
 // starts, and backend.Normalize before a request is keyed, so a bad value
 // is a client error rather than a failed run. Each domain check is written
@@ -153,11 +136,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxRipupPasses < 1 {
 		return fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
-	}
-	switch p.SteinerMode {
-	case "", SteinerPD, SteinerCostDist:
-	default:
-		return fmt.Errorf("core: unknown steiner mode %q (want %v)", p.SteinerMode, SteinerModes())
 	}
 	if p.MCFPhases < 0 {
 		return fmt.Errorf("core: MCFPhases %d < 0", p.MCFPhases)
@@ -492,17 +470,10 @@ func (s *state) emitStage(ss StageStats) {
 // registration that follow mutate the shared graph and stay sequential.
 func (s *state) stage1() error {
 	bufs := s.netEvents(len(s.c.Nets))
-	costdist := s.p.SteinerMode == SteinerCostDist
 	slots := s.evalSlots(len(s.c.Nets))
 	if err := par.ForEachWorkerCtx(s.ctx, s.p.Workers, len(s.c.Nets), func(w, i int) error {
 		t0 := bufs.Now()
-		var rt *rtree.Tree
-		var err error
-		if costdist {
-			rt, err = slots[w].steiner.InitialRouteCostDistance(s.c.Nets[i])
-		} else {
-			rt, err = slots[w].steiner.InitialRoute(s.c.Nets[i], s.p.Alpha)
-		}
+		rt, err := slots[w].steiner.InitialRoute(s.c.Nets[i], s.p.Alpha)
 		if err != nil {
 			return err
 		}
@@ -548,12 +519,6 @@ func (s *state) stage2() error {
 	order := s.orderByDelay(false) // smallest delay first
 	opt := s.p.RouteOpt
 	opt.Obs, opt.Stage = s.obs, 2
-	if s.p.SteinerMode == SteinerCostDist {
-		// Cost-distance mode carries the radius/wirelength tradeoff per net
-		// in the Stage-1 objective, so the reroute optimizes congestion-
-		// priced distance alone.
-		opt.Alpha = 1
-	}
 	_, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws)
 	return err
 }
@@ -779,17 +744,25 @@ func (s *state) reworkNet(i int) error {
 	}
 	route.RemoveUsage(s.g, s.routes[i])
 	defer func() { route.AddUsage(s.g, s.routes[i]) }()
-	// The two-paths are re-enumerated after every splice, because the pick
-	// order follows the new tree's node numbering; a two-path is named by
-	// its end tiles, packed as (head, tail) tile indices into a sorted set.
+	// The two-paths are enumerated once per tree and walked with cursor k
+	// (k < 0: not yet enumerated). The pick order follows the tree's node
+	// numbering, so only a splice calls for a new list; on a kept tree the
+	// next pick is the first undone two-path after k, since every one
+	// before it is done. A two-path is named by its end tiles, packed as
+	// (head, tail) tile indices into a sorted set. own caches keepsOwn for
+	// the current tree: 0 not yet worked out, 1 keeps, -1 renumbers.
 	s.done = s.done[:0]
+	k, own := -1, 0
 	for {
 		rt := s.routes[i]
-		rt.TwoPathsInto(&s.paths)
+		if k < 0 {
+			rt.TwoPathsInto(&s.paths)
+			k, own = 0, 0
+		}
 		var pick []int
 		var key uint64
 		var at int
-		for k := 0; k < s.paths.Len(); k++ {
+		for ; k < s.paths.Len(); k++ {
 			p := s.paths.Path(k)
 			key = uint64(s.g.TileIndex(rt.Tile[p[0]]))<<32 | uint64(s.g.TileIndex(rt.Tile[p[len(p)-1]]))
 			var seen bool
@@ -801,6 +774,7 @@ func (s *state) reworkNet(i int) error {
 		if pick == nil {
 			return nil
 		}
+		k++
 		s.done = slices.Insert(s.done, at, key)
 		head := rt.Tile[pick[0]]
 		tail := rt.Tile[pick[len(pick)-1]]
@@ -840,10 +814,18 @@ func (s *state) reworkNet(i int) error {
 			}
 			continue
 		}
-		if ripped(rt, pick, newPath) && s.splice.keepsOwn(rt) {
-			// The search kept the ripped two-path, and the splice would
-			// rebuild the tree node for node: keep it.
-			continue
+		if ripped(rt, pick, newPath) {
+			if own == 0 {
+				own = -1
+				if s.splice.keepsOwn(rt) {
+					own = 1
+				}
+			}
+			if own > 0 {
+				// The search kept the ripped two-path, and the splice would
+				// rebuild the tree node for node: keep it.
+				continue
+			}
 		}
 		// The spliced tree is built into a recycled carcass, and the old
 		// one — referenced from nowhere else once replaced — feeds the next.
@@ -854,6 +836,7 @@ func (s *state) reworkNet(i int) error {
 		}
 		s.routes[i] = nt
 		s.ws.Recycle(rt)
+		k = -1
 	}
 }
 

@@ -231,7 +231,6 @@ func TestParamsValidate(t *testing.T) {
 	c := smallCircuit(t, 8, 5, 8, 8, 2, 3)
 	bad := map[string]func(*Params){
 		"zero passes":       func(p *Params) { p.MaxRipupPasses = 0 },
-		"steiner mode":      func(p *Params) { p.SteinerMode = "rsmt" },
 		"negative phases":   func(p *Params) { p.MCFPhases = -1 },
 		"epsilon too large": func(p *Params) { p.MCFEpsilon = 1.5 },
 		"epsilon NaN":       func(p *Params) { p.MCFEpsilon = math.NaN() },
@@ -253,7 +252,7 @@ func TestParamsValidate(t *testing.T) {
 		}
 	}
 	p := DefaultParams()
-	p.SteinerMode, p.MCFPhases, p.MCFEpsilon = SteinerCostDist, 4, 0.2
+	p.MCFPhases, p.MCFEpsilon = 4, 0.2
 	p.Library = tech.DefaultPlanningLibrary018()
 	if err := p.Validate(); err != nil {
 		t.Errorf("in-range params refused: %v", err)

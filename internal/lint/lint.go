@@ -63,8 +63,7 @@ func Checks() []string {
 // aggregates or sorted output, not routing decisions.
 var resultAffecting = map[string]bool{
 	"core": true, "route": true, "bufferdp": true, "vanginneken": true,
-	"mcf": true, "steiner": true, "spanning": true, "flow": true,
-	"siteplan": true,
+	"mcf": true, "steiner": true, "spanning": true, "siteplan": true,
 }
 
 // clockExempt lists the final import-path elements of the packages allowed

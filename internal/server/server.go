@@ -241,13 +241,11 @@ type planParams struct {
 	// single-type engine is a 400.
 	Backend *string        `json:"backend,omitempty"`
 	Library []tech.LibGate `json:"library,omitempty"`
-	// SteinerMode selects the Stage-1 construction ("pd", "costdist";
-	// absent or empty = "pd"). MCFPhases and MCFEpsilon tune the mcf engine
-	// (0 = its defaults; non-zero on another engine is a 400). All three
-	// are validated by backend.Normalize and reach the content key.
-	SteinerMode *string  `json:"steiner_mode,omitempty"`
-	MCFPhases   *int     `json:"mcf_phases,omitempty"`
-	MCFEpsilon  *float64 `json:"mcf_epsilon,omitempty"`
+	// MCFPhases and MCFEpsilon tune the mcf engine (0 = its defaults;
+	// non-zero on another engine is a 400). Both are validated by
+	// backend.Normalize and reach the content key.
+	MCFPhases  *int     `json:"mcf_phases,omitempty"`
+	MCFEpsilon *float64 `json:"mcf_epsilon,omitempty"`
 }
 
 // apply merges the overrides into p.
@@ -287,9 +285,6 @@ func (pp *planParams) apply(p *core.Params) {
 	}
 	if len(pp.Library) > 0 {
 		p.Library = pp.Library
-	}
-	if pp.SteinerMode != nil {
-		p.SteinerMode = *pp.SteinerMode
 	}
 	if pp.MCFPhases != nil {
 		p.MCFPhases = *pp.MCFPhases

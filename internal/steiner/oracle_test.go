@@ -153,15 +153,9 @@ func embedOracle(t *Tree, sinkTiles []geom.Pt) (*rtree.Tree, error) {
 	return rt.Prune(), nil
 }
 
-func initialRouteOracle(n *netlist.Net, alpha float64, costdist bool) (*rtree.Tree, error) {
+func initialRouteOracle(n *netlist.Net, alpha float64) (*rtree.Tree, error) {
 	tiles := tilesOracle(n)
-	var par []int
-	var err error
-	if costdist {
-		par, err = spanning.CostDistanceTree(tiles, 1/float64(n.L))
-	} else {
-		par, err = spanning.Tree(tiles, alpha)
-	}
+	par, err := spanning.Tree(tiles, alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -193,31 +187,25 @@ func oracleCircuits(t *testing.T) []*netlist.Circuit {
 }
 
 // TestInitialRouteMatchesOracle runs one reused Scratch over every net of
-// the oracle circuits, at alpha 0, 0.4 and 1 and in cost-distance mode,
-// and requires every tree to be node-identical to the oracle's.
+// the oracle circuits, at alpha 0, 0.4 and 1, and requires every tree to
+// be node-identical to the oracle's.
 func TestInitialRouteMatchesOracle(t *testing.T) {
 	var sc Scratch
 	trees := 0
 	for _, c := range oracleCircuits(t) {
 		for _, n := range c.Nets {
-			for _, mode := range []float64{0, 0.4, 1, -1} {
-				var got *rtree.Tree
-				var err error
-				if mode < 0 {
-					got, err = sc.InitialRouteCostDistance(n)
-				} else {
-					got, err = sc.InitialRoute(n, mode)
-				}
+			for _, alpha := range []float64{0, 0.4, 1} {
+				got, err := sc.InitialRoute(n, alpha)
 				if err != nil {
-					t.Fatalf("%s net %d mode %v: %v", c.Name, n.ID, mode, err)
+					t.Fatalf("%s net %d alpha %v: %v", c.Name, n.ID, alpha, err)
 				}
-				want, err := initialRouteOracle(n, mode, mode < 0)
+				want, err := initialRouteOracle(n, alpha)
 				if err != nil {
-					t.Fatalf("%s net %d mode %v: oracle: %v", c.Name, n.ID, mode, err)
+					t.Fatalf("%s net %d alpha %v: oracle: %v", c.Name, n.ID, alpha, err)
 				}
 				if !slices.Equal(got.Tile, want.Tile) || !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.SinkNode, want.SinkNode) {
-					t.Fatalf("%s net %d mode %v: tree differs from oracle\n got  %v %v %v\n want %v %v %v",
-						c.Name, n.ID, mode, got.Tile, got.Parent, got.SinkNode, want.Tile, want.Parent, want.SinkNode)
+					t.Fatalf("%s net %d alpha %v: tree differs from oracle\n got  %v %v %v\n want %v %v %v",
+						c.Name, n.ID, alpha, got.Tile, got.Parent, got.SinkNode, want.Tile, want.Parent, want.SinkNode)
 				}
 				trees++
 			}
@@ -228,7 +216,7 @@ func TestInitialRouteMatchesOracle(t *testing.T) {
 
 // TestInitialRouteAllocBound: once a Scratch has seen a circuit's nets, a
 // net's Stage-1 construction allocates exactly its output tree — the Tree
-// and its Tile, Parent and SinkNode arrays — in both modes.
+// and its Tile, Parent and SinkNode arrays.
 func TestInitialRouteAllocBound(t *testing.T) {
 	spec, err := floorplan.BySuiteName("xerox")
 	if err != nil {
@@ -239,24 +227,16 @@ func TestInitialRouteAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sc Scratch
-	for _, costdist := range []bool{false, true} {
-		all := func() {
-			for _, n := range c.Nets {
-				var err error
-				if costdist {
-					_, err = sc.InitialRouteCostDistance(n)
-				} else {
-					_, err = sc.InitialRoute(n, 0.4)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+	all := func() {
+		for _, n := range c.Nets {
+			if _, err := sc.InitialRoute(n, 0.4); err != nil {
+				t.Fatal(err)
 			}
 		}
-		all()
-		if avg := testing.AllocsPerRun(5, all) / float64(len(c.Nets)); avg != 4 {
-			t.Errorf("costdist=%v: %v allocs per net with a warmed Scratch, want 4 (the output tree)", costdist, avg)
-		}
+	}
+	all()
+	if avg := testing.AllocsPerRun(5, all) / float64(len(c.Nets)); avg != 4 {
+		t.Errorf("%v allocs per net with a warmed Scratch, want 4 (the output tree)", avg)
 	}
 }
 

@@ -281,27 +281,12 @@ func (sc *Scratch) InitialRoute(n *netlist.Net, alpha float64) (*rtree.Tree, err
 	if err != nil {
 		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
 	}
-	return sc.finish(n, par)
-}
-
-// InitialRouteCostDistance is the cost-distance alternative to InitialRoute
-// (core.Params.SteinerMode "costdist"): the spanning skeleton is the
-// Held–Perner-style cost-distance tree with per-net weight w = 1/L, so
-// delay-critical nets (small length constraints) lean toward shortest
-// source paths while relaxed nets approach the MST. Overlap removal and
-// embedding are shared with the Prim–Dijkstra path.
-func (sc *Scratch) InitialRouteCostDistance(n *netlist.Net) (*rtree.Tree, error) {
-	if n.L < 1 {
-		return nil, fmt.Errorf("steiner: net %d: length constraint %d < 1", n.ID, n.L)
-	}
-	if err := sc.pins(n); err != nil {
-		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
-	}
-	par, err := sc.span.CostDistanceTree(sc.st.Pts, 1/float64(n.L))
+	sc.removeOverlaps(par)
+	rt, err := sc.embed()
 	if err != nil {
 		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
 	}
-	return sc.finish(n, par)
+	return rt, nil
 }
 
 // pins writes the net's sink tiles, in sink order, into sc.sinks and its
@@ -326,15 +311,4 @@ func (sc *Scratch) pins(n *netlist.Net) error {
 		}
 	}
 	return nil
-}
-
-// finish is the shared tail of the Stage-1 constructions: greedy overlap
-// removal over the spanning skeleton, then tile embedding.
-func (sc *Scratch) finish(n *netlist.Net, parent []int) (*rtree.Tree, error) {
-	sc.removeOverlaps(parent)
-	rt, err := sc.embed()
-	if err != nil {
-		return nil, fmt.Errorf("steiner: net %d: %w", n.ID, err)
-	}
-	return rt, nil
 }

@@ -7,8 +7,9 @@
 // This package is the public facade over the implementation packages in
 // internal/: it re-exports the problem model (circuits, nets, tile length
 // constraints), the benchmark suite cloned from the paper's Table I, the
-// RABID pipeline, the BBP/FR comparison baseline, and the experiment
-// harness that regenerates the paper's Tables I-V.
+// RABID pipeline and its planning engines, and the experiment harness
+// that regenerates the paper's Tables I-V (the BBP/FR comparison baseline
+// included).
 //
 // Quick start:
 //
@@ -26,27 +27,17 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/anneal"
 	"repro/internal/backend"
-	"repro/internal/bbp"
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/decap"
-	"repro/internal/delay"
 	"repro/internal/exp"
 	"repro/internal/floorplan"
-	"repro/internal/flow"
 	"repro/internal/layers"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/route"
-	"repro/internal/server"
 	"repro/internal/siteplan"
-	"repro/internal/slew"
 	"repro/internal/tech"
 	"repro/internal/textable"
 	"repro/internal/vanginneken"
-	"repro/internal/viz"
 )
 
 // Problem model.
@@ -89,9 +80,6 @@ type (
 	Gate = tech.Gate
 )
 
-// BBPResult is the outcome of the buffer-block planning baseline.
-type BBPResult = bbp.Result
-
 // RetimeReport records the effect of timing-driven re-buffering on one net.
 type RetimeReport = vanginneken.RetimeReport
 
@@ -116,32 +104,6 @@ func Default018() Tech { return tech.Default018() }
 // Run executes the four-stage RABID heuristic on a circuit.
 func Run(c *Circuit, p Params) (*Result, error) { return core.Run(c, p) }
 
-// RouteWorkspacePool recycles the router's scratch workspaces across runs.
-// A long-lived embedder sets Params.WorkspacePool to one pool so repeated
-// Run calls reuse the warmed wavefront arrays instead of re-growing them
-// (the planning server does this per process). Purely a memory-reuse
-// mechanism: results and cache keys are identical with or without it.
-type RouteWorkspacePool = route.Pool
-
-// NewRouteWorkspacePool returns an empty workspace pool.
-func NewRouteWorkspacePool() *RouteWorkspacePool { return route.NewPool() }
-
-// RunContext is Run with cooperative cancellation: the pipeline checks ctx
-// at stage boundaries, rip-up-pass boundaries, and per-net dispatch, so an
-// expired deadline aborts the run promptly with ctx's error. A run that
-// completes is bit-identical to Run — cancellation can stop work, never
-// change results.
-func RunContext(ctx context.Context, c *Circuit, p Params) (*Result, error) {
-	return core.RunContext(ctx, c, p)
-}
-
-// RunBBP runs the BBP/FR baseline on a two-pin-decomposed circuit with the
-// given uniform edge capacity. o taps the run's telemetry ("bbp.run" span);
-// pass nil for an untapped, clock-free run (BBPResult.CPU stays zero).
-func RunBBP(c *Circuit, capacity int, t Tech, o Observer) (*BBPResult, error) {
-	return bbp.Run(c, capacity, t, o)
-}
-
 // Suite returns the ten benchmark specs of the paper's Table I.
 func Suite() []Spec { return floorplan.Suite() }
 
@@ -164,28 +126,6 @@ func BenchmarkParams(name string) Params { return exp.ParamsFor(name) }
 
 // ReadCircuit deserializes and validates a circuit from JSON.
 func ReadCircuit(r io.Reader) (*Circuit, error) { return netlist.ReadJSON(r) }
-
-// --- delay, slew, and sized buffers -----------------------------------
-
-// PlacedBuffer is a buffer with an explicit gate from a library.
-type PlacedBuffer = delay.Placed
-
-// DelayEvaluator computes Elmore sink delays on buffered routed trees.
-type DelayEvaluator = delay.Evaluator
-
-// NewDelayEvaluator builds an evaluator for a technology and tile size.
-func NewDelayEvaluator(t Tech, tileUm float64) (DelayEvaluator, error) {
-	return delay.NewEvaluator(t, tileUm)
-}
-
-// SlewEvaluator computes worst 10-90% slews and derives length constraints
-// from a slew target (the physical grounding of the paper's length rule).
-type SlewEvaluator = slew.Evaluator
-
-// NewSlewEvaluator builds a slew evaluator.
-func NewSlewEvaluator(t Tech, tileUm float64) (SlewEvaluator, error) {
-	return slew.NewEvaluator(t, tileUm)
-}
 
 // --- layer assignment ---------------------------------------------------
 
@@ -219,71 +159,11 @@ func PlanSites(c *Circuit, opt SitePlanOptions) (*SitePlan, error) {
 	return siteplan.Run(c, opt)
 }
 
-// --- floorplan annealing -------------------------------------------------
-
-// AnnealBlock, AnnealNet, and AnnealOptions parameterize the slicing
-// simulated annealer; AnnealResult is a placed floorplan.
-type (
-	AnnealBlock   = anneal.Block
-	AnnealNet     = anneal.Net
-	AnnealOptions = anneal.Options
-	AnnealResult  = anneal.Result
-)
-
-// AnnealFloorplan places blocks with the wirelength-aware slicing annealer.
-func AnnealFloorplan(blocks []AnnealBlock, nets []AnnealNet, opt AnnealOptions) (*AnnealResult, error) {
-	return anneal.Floorplan(blocks, nets, opt)
-}
-
-// --- floorplan evaluation loop ---------------------------------------------
-
-// FlowCandidate and FlowOptions drive the paper's intended use: rank
-// floorplan candidates by their post-planning metrics instead of raw,
-// meaningless pre-buffering slack.
-type (
-	FlowCandidate = flow.Candidate
-	FlowOptions   = flow.Options
-)
-
-// EvaluateFloorplans generates, plans, and ranks floorplan candidates of a
-// benchmark spec, best first.
-func EvaluateFloorplans(spec Spec, opt FlowOptions) ([]*FlowCandidate, error) {
-	return flow.EvaluateCandidates(spec, opt)
-}
-
-// --- decap / spare-cell utilization ---------------------------------------
-
-// DecapReport summarizes the unused buffer sites of a completed run as
-// decoupling capacitance and ECO spare area (Section I-B's point that
-// reserved sites are never wasted).
-type DecapReport = decap.Report
-
-// AnalyzeDecap builds the utilization report from a completed run.
-func AnalyzeDecap(res *Result) (*DecapReport, error) {
-	return decap.Analyze(res.Circuit, res.Graph)
-}
-
 // --- planning backends ----------------------------------------------------
-
-// LibGate is one gate of a planning buffer library: an electrical model
-// plus an area cost and an inverting flag. Params.Library, together with
-// Params.Backend = "rabid+lib", runs the Stage-3 DP over the library
-// (drive-scaled length constraints, area-scaled site costs, inverter
-// polarity tracking) instead of the single planning buffer.
-type LibGate = tech.LibGate
-
-// DefaultPlanningLibrary018 returns the default 0.18 um planning library:
-// 1x/2x/4x buffers and 1x/2x inverters, area costs relative to the 1x
-// planning buffer.
-func DefaultPlanningLibrary018() []LibGate { return tech.DefaultPlanningLibrary018() }
 
 // Backends returns the registered planning-engine names ("mcf", "rabid",
 // "rabid+lib"), sorted.
 func Backends() []string { return backend.Names() }
-
-// SteinerModes returns the Stage-1 construction names ("pd", "costdist")
-// accepted by Params.SteinerMode.
-func SteinerModes() []string { return core.SteinerModes() }
 
 // DescribeBackend returns the one-line summary of a registered engine
 // ("" names the default).
@@ -295,16 +175,16 @@ func DescribeBackend(name string) (string, bool) {
 	return e.Describe(), true
 }
 
-// NormalizeParams canonicalizes p (Backend "" → "rabid"; "rabid+lib" with
-// no Library → the default library) and validates it: against the
-// registry, against the selected engine (a library only on "rabid+lib",
-// mcf knobs only on "mcf") and against Params.Validate. Plan and the HTTP
-// service apply it automatically; call it directly when deriving cache
-// keys by hand.
+// NormalizeParams validates p — against Params.Validate, the registry and
+// the selected engine (a library only on "rabid+lib", mcf knobs only on
+// "mcf") — and canonicalizes it: Backend "" → "rabid", "rabid+lib" with no
+// Library → the default library, and each field the engine ignores reset
+// to its DefaultParams value. Plan and the HTTP service apply it
+// automatically; call it directly to refuse bad parameters before a run.
 func NormalizeParams(p Params) (Params, error) { return backend.Normalize(p) }
 
 // Plan runs the planning engine named by p.Backend ("" = the rabid
-// pipeline, making Plan a superset of RunContext). Engines are
+// pipeline, the run Run makes) under ctx's cancellation. Engines are
 // deterministic: identical inputs produce identical results at every
 // Workers value.
 func Plan(ctx context.Context, c *Circuit, p Params) (*Result, error) {
@@ -347,10 +227,6 @@ func NewMetricsObserver() *MetricsObserver { return obs.NewMetrics() }
 // and a fully-nil argument list returns nil (keeping the zero-cost path).
 func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
 
-// ProgressObserver renders log-kind events (the experiment harness's
-// progress lines) to w, one per line.
-func ProgressObserver(w io.Writer) Observer { return obs.Progress(w) }
-
 // SetTableObserver installs an observer tapping every RABID run performed
 // by Table and receiving its progress lines as log events; the sink must
 // be safe for concurrent use (all sinks in this package are). Pass nil to
@@ -362,24 +238,6 @@ func SetTableObserver(o Observer) { exp.Observer = o }
 // and returns the function that stops them and flushes the files.
 func StartProfiles(cpuPath, tracePath, memPath string) (stop func() error, err error) {
 	return obs.StartProfiles(cpuPath, tracePath, memPath)
-}
-
-// --- visualization -------------------------------------------------------
-
-// PlanSVG renders a completed run (blocks, congestion heat, routes,
-// buffers) as an SVG document.
-func PlanSVG(res *Result) string {
-	return viz.SVG(res.Circuit, viz.SVGOptions{Graph: res.Graph, Routes: res.Routes})
-}
-
-// CongestionASCII renders the run's per-tile wire congestion as text.
-func CongestionASCII(res *Result) string {
-	return viz.ASCII(viz.WireHeat(res.Graph), res.Circuit.GridW, res.Circuit.GridH)
-}
-
-// BufferDensityASCII renders the run's per-tile buffer occupancy as text.
-func BufferDensityASCII(res *Result) string {
-	return viz.ASCII(viz.BufferHeat(res.Graph), res.Circuit.GridW, res.Circuit.GridH)
 }
 
 // Table regenerates one of the experiment tables, logging progress to log
@@ -408,34 +266,4 @@ type errUnknownTable int
 
 func (e errUnknownTable) Error() string {
 	return "rabid: unknown table (want 1-6)"
-}
-
-// --- planning service -----------------------------------------------------
-
-// ServerConfig and PlanServer expose the HTTP planning service (see
-// internal/server and cmd/rabidd): POST /v1/plan and /v1/bbp with bounded
-// admission, per-request deadlines, and a content-addressed result cache;
-// GET /v1/healthz and /v1/metricz for probing and telemetry.
-type (
-	ServerConfig = server.Config
-	PlanServer   = server.Server
-)
-
-// NewPlanServer builds the planning service; serve its Handler with any
-// http.Server (cmd/rabidd is the packaged daemon).
-func NewPlanServer(cfg ServerConfig) *PlanServer { return server.New(cfg) }
-
-// PlanCacheKey returns the content address of a planning run — the hex
-// SHA-256 of the canonical (circuit, params, tech) serialization the
-// service's cache and ETags use. Params are normalized first (see
-// NormalizeParams) so the empty and explicit spellings of an engine share
-// one address. It fails for params carrying a custom route weight,
-// which cannot be addressed by content, and for params NormalizeParams
-// refuses.
-func PlanCacheKey(c *Circuit, p Params) (string, error) {
-	p, err := backend.Normalize(p)
-	if err != nil {
-		return "", err
-	}
-	return cache.PlanKey(c, p)
 }

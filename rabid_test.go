@@ -60,20 +60,6 @@ func TestCircuitJSONRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRunBBPThroughFacade(t *testing.T) {
-	c, err := GenerateBenchmark("hp", GenOptions{GridW: 10, GridH: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunBBP(c.DecomposeTwoPin(), 20, Default018(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MTAP < 0 || res.WirelenMm <= 0 {
-		t.Error("BBP stats missing")
-	}
-}
-
 func TestTableDispatch(t *testing.T) {
 	tb, err := Table(1, nil)
 	if err != nil {

@@ -46,7 +46,7 @@ go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkBufferA
   -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
 
 echo "== end-to-end suite benchmark (benchtime=$suite_benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkRunSuite$|BenchmarkRunSuiteSteiner$' \
+go test -run '^$' -bench 'BenchmarkRunSuite$' \
   -benchmem -benchtime "$suite_benchtime" -timeout 20m . | tee -a "$workdir/bench.txt" >&2
 
 echo "== backend comparison benchmark (benchtime=$suite_benchtime)" >&2
