@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/mcf"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -103,7 +104,12 @@ func Names() []string {
 //     the same bytes. Under "mcf" these are RouteOpt.Alpha (its router
 //     runs at alpha 1), MaxRipupPasses and SkipStage4 (it has no rip-up
 //     and no Stage 4); on every engine, TargetStage1Avg once Capacity is
-//     set (the target only calibrates a zero capacity).
+//     set (the target only calibrates a zero capacity);
+//   - a default spelled out is folded to the spelling the default request
+//     keys under, for the same reason: TargetStage1Avg 0 (which Stage 1
+//     reads as core.DefaultTargetStage1Avg) becomes that target, and under
+//     "mcf" MCFPhases mcf.DefaultPhases and MCFEpsilon mcf.DefaultEpsilon
+//     become 0 (which the engine reads as those defaults).
 //
 // Normalize must run before core.PlanKey / cache admission; the server and
 // facade both do.
@@ -127,10 +133,16 @@ func Normalize(p core.Params) (core.Params, error) {
 	def := core.DefaultParams()
 	if p.Backend == NameMCF {
 		p.RouteOpt.Alpha, p.MaxRipupPasses, p.SkipStage4 = def.RouteOpt.Alpha, def.MaxRipupPasses, def.SkipStage4
+		if p.MCFPhases == mcf.DefaultPhases {
+			p.MCFPhases = 0
+		}
+		if p.MCFEpsilon == mcf.DefaultEpsilon { //rabid:allow floateq only the exact default spelled out is the default's request
+			p.MCFEpsilon = 0
+		}
 	} else if p.MCFPhases != 0 || p.MCFEpsilon != 0 {
 		return p, fmt.Errorf("backend: engine %q does not take mcf phases or epsilon (use %q)", p.Backend, NameMCF)
 	}
-	if p.Capacity > 0 {
+	if p.Capacity > 0 || p.TargetStage1Avg == 0 {
 		p.TargetStage1Avg = def.TargetStage1Avg
 	}
 	return p, nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/mcf"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -150,6 +151,19 @@ func TestNormalize(t *testing.T) {
 	m.Backend, m.MCFPhases, m.MCFEpsilon = NameMCF, 5, 0.2
 	if _, err := Normalize(m); err != nil {
 		t.Errorf("mcf engine refused its own knobs: %v", err)
+	}
+
+	// A default spelled out folds to the default request's spelling.
+	def := core.DefaultParams()
+	def.Backend = NameMCF
+	want, err := Normalize(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := def
+	spelled.MCFPhases, spelled.MCFEpsilon, spelled.TargetStage1Avg = mcf.DefaultPhases, mcf.DefaultEpsilon, 0
+	if got, err := Normalize(spelled); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("mcf with its defaults spelled out normalized to %+v (%v), want %+v", got, err, want)
 	}
 
 	// Params.Validate's rules apply on every engine before a key exists.

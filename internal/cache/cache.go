@@ -26,7 +26,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -49,27 +49,33 @@ import (
 // longer verify (DESIGN.md "Planning backends").
 const keyVersion = 5
 
-// planMaterial enumerates, exhaustively and in a fixed order, every field
-// of a plan request that can affect the result. Fields deliberately
-// absent: Params.Workers (results are bit-identical for every value),
-// Params.Observer and RouteOpt.Obs (telemetry only), and RouteOpt.Stage /
-// RouteOpt.Pass (transient labels the pipeline overwrites). The JSON
-// encoding of this struct is deterministic — fixed field order, no maps —
-// so identical requests always hash identically.
-type planMaterial struct {
-	Version           int              `json:"version"`
-	Kind              string           `json:"kind"`
-	Circuit           *netlist.Circuit `json:"circuit"`
-	Alpha             float64          `json:"alpha"`
-	RouteAlpha        float64          `json:"route_alpha"`
-	RouteLengthWeight float64          `json:"route_length_weight"`
-	RouteOverflowPen  float64          `json:"route_overflow_penalty"`
-	MaxRipupPasses    int              `json:"max_ripup_passes"`
-	Capacity          int              `json:"capacity"`
-	TargetStage1Avg   float64          `json:"target_stage1_avg"`
-	Tech              tech.Tech        `json:"tech"`
-	SkipStage4        bool             `json:"skip_stage4"`
-	DisableDemandTerm bool             `json:"disable_demand_term"`
+// The key material of a request is one JSON object: the key version, the
+// request kind, the circuit, then the request's other result-affecting
+// fields. It is streamed into SHA-256 rather than marshalled whole: the
+// circuit through netlist.EncodeJSON, the rest through json.Marshal of a
+// struct holding only those fields (paramsMaterial, bbpParams). The bytes
+// hashed are exactly those json.Marshal writes for the whole object, so
+// streaming moved no key (TestKeysMatchMarshalledMaterial holds the two to
+// each other).
+
+// paramsMaterial enumerates, exhaustively and in a fixed order, every
+// field of a plan request besides the circuit that can affect the result.
+// Fields deliberately absent: Params.Workers (results are bit-identical for
+// every value), Params.Observer and RouteOpt.Obs (telemetry only), and
+// RouteOpt.Stage / RouteOpt.Pass (transient labels the pipeline
+// overwrites). Its JSON encoding is deterministic — fixed field order, no
+// maps — so identical requests always hash identically.
+type paramsMaterial struct {
+	Alpha             float64   `json:"alpha"`
+	RouteAlpha        float64   `json:"route_alpha"`
+	RouteLengthWeight float64   `json:"route_length_weight"`
+	RouteOverflowPen  float64   `json:"route_overflow_penalty"`
+	MaxRipupPasses    int       `json:"max_ripup_passes"`
+	Capacity          int       `json:"capacity"`
+	TargetStage1Avg   float64   `json:"target_stage1_avg"`
+	Tech              tech.Tech `json:"tech"`
+	SkipStage4        bool      `json:"skip_stage4"`
+	DisableDemandTerm bool      `json:"disable_demand_term"`
 	// Backend and Library identify the planning engine. Callers must
 	// normalize Params first (backend.Normalize): "" and "rabid" are the
 	// same engine and must share one address, and "rabid+lib" must have its
@@ -89,10 +95,7 @@ func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 	if p.RouteOpt.Weight != nil {
 		return "", fmt.Errorf("cache: params with a custom RouteOpt.Weight are not content-addressable")
 	}
-	return hash(planMaterial{
-		Version:           keyVersion,
-		Kind:              "plan",
-		Circuit:           c,
+	return hash(planHead, c, paramsMaterial{
 		Alpha:             p.Alpha,
 		RouteAlpha:        p.RouteOpt.Alpha,
 		RouteLengthWeight: p.RouteOpt.LengthWeight,
@@ -110,27 +113,41 @@ func PlanKey(c *netlist.Circuit, p core.Params) (string, error) {
 	})
 }
 
-// bbpMaterial is the key material of the BBP baseline endpoint.
-type bbpMaterial struct {
-	Version  int              `json:"version"`
-	Kind     string           `json:"kind"`
-	Circuit  *netlist.Circuit `json:"circuit"`
-	Capacity int              `json:"capacity"`
-	Tech     tech.Tech        `json:"tech"`
+// bbpParams is the key material of the BBP baseline endpoint besides the
+// circuit.
+type bbpParams struct {
+	Capacity int       `json:"capacity"`
+	Tech     tech.Tech `json:"tech"`
 }
 
 // BBPKey derives the content address of a BBP baseline run.
 func BBPKey(c *netlist.Circuit, capacity int, t tech.Tech) (string, error) {
-	return hash(bbpMaterial{Version: keyVersion, Kind: "bbp", Circuit: c, Capacity: capacity, Tech: t})
+	return hash(bbpHead, c, bbpParams{Capacity: capacity, Tech: t})
 }
 
-func hash(material any) (string, error) {
-	b, err := json.Marshal(material)
+// The key material's opening members, up to the circuit's value, per
+// request kind.
+var (
+	planHead = []byte(`{"version":` + strconv.Itoa(keyVersion) + `,"kind":"plan","circuit":`)
+	bbpHead  = []byte(`{"version":` + strconv.Itoa(keyVersion) + `,"kind":"bbp","circuit":`)
+)
+
+// hash streams one request's key material into SHA-256: head, the circuit,
+// then the members of rest, a struct whose JSON encoding is an object.
+func hash(head []byte, c *netlist.Circuit, rest any) (string, error) {
+	tail, err := json.Marshal(rest)
 	if err != nil {
 		return "", fmt.Errorf("cache: serializing key material: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	h.Write(head)
+	if err := netlist.EncodeJSON(h, c); err != nil {
+		return "", fmt.Errorf("cache: serializing key material: %w", err)
+	}
+	tail[0] = ','
+	h.Write(tail)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])), nil
 }
 
 // Digest identifies a request by its bytes: the SHA-256 of its endpoint

@@ -2,8 +2,12 @@ package cache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -125,6 +129,135 @@ func TestPlanKeyParamsSensitivity(t *testing.T) {
 		mutate(&p.RouteOpt)
 		if k, _ := PlanKey(c, p); k == base {
 			t.Errorf("mutating RouteOpt.%s did not change the key", name)
+		}
+	}
+}
+
+// planMaterial and bbpMaterial are the key material as one struct each,
+// the layout PlanKey and BBPKey hashed by json.Marshal before they
+// streamed it. hashMaterial over them is the oracle the streamed keys are
+// held to.
+type planMaterial struct {
+	Version           int              `json:"version"`
+	Kind              string           `json:"kind"`
+	Circuit           *netlist.Circuit `json:"circuit"`
+	Alpha             float64          `json:"alpha"`
+	RouteAlpha        float64          `json:"route_alpha"`
+	RouteLengthWeight float64          `json:"route_length_weight"`
+	RouteOverflowPen  float64          `json:"route_overflow_penalty"`
+	MaxRipupPasses    int              `json:"max_ripup_passes"`
+	Capacity          int              `json:"capacity"`
+	TargetStage1Avg   float64          `json:"target_stage1_avg"`
+	Tech              tech.Tech        `json:"tech"`
+	SkipStage4        bool             `json:"skip_stage4"`
+	DisableDemandTerm bool             `json:"disable_demand_term"`
+	Backend           string           `json:"backend"`
+	Library           []tech.LibGate   `json:"library,omitempty"`
+	MCFPhases         int              `json:"mcf_phases"`
+	MCFEpsilon        float64          `json:"mcf_epsilon"`
+}
+
+type bbpMaterial struct {
+	Version  int              `json:"version"`
+	Kind     string           `json:"kind"`
+	Circuit  *netlist.Circuit `json:"circuit"`
+	Capacity int              `json:"capacity"`
+	Tech     tech.Tech        `json:"tech"`
+}
+
+func hashMaterial(t *testing.T, material any) string {
+	t.Helper()
+	b, err := json.Marshal(material)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestKeysMatchMarshalledMaterial: the streamed keys equal the SHA-256 of
+// json.Marshal over the whole material, for every coarse suite circuit, its
+// decomposition (the bbp key) and a nil circuit, under the default
+// parameters of each engine and a few others — so streaming moved no key,
+// ETag or journal entry.
+func TestKeysMatchMarshalledMaterial(t *testing.T) {
+	params := []core.Params{core.DefaultParams()}
+	for _, mutate := range []func(*core.Params){
+		func(p *core.Params) { p.Backend = "rabid" },
+		func(p *core.Params) { p.Backend, p.Library = "rabid+lib", tech.DefaultPlanningLibrary018() },
+		func(p *core.Params) { p.Backend, p.MCFPhases, p.MCFEpsilon = "mcf", 4, 0.1 },
+		func(p *core.Params) { p.Capacity, p.SkipStage4, p.Alpha, p.TargetStage1Avg = 17, true, 1e-7, 0 },
+	} {
+		p := core.DefaultParams()
+		mutate(&p)
+		params = append(params, p)
+	}
+	circuits := []*netlist.Circuit{nil}
+	coarse := map[string][2]int{"apte": {10, 11}, "ami33": {11, 10}, "playout": {11, 10}}
+	for _, spec := range floorplan.Suite() {
+		g, ok := coarse[spec.Name]
+		if !ok {
+			g = [2]int{10, 10}
+		}
+		c, err := floorplan.Generate(spec, floorplan.Options{GridW: g[0], GridH: g[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c, c.DecomposeTwoPin())
+	}
+	for _, c := range circuits {
+		for _, p := range params {
+			got, err := PlanKey(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := hashMaterial(t, planMaterial{
+				Version: keyVersion, Kind: "plan", Circuit: c,
+				Alpha: p.Alpha, RouteAlpha: p.RouteOpt.Alpha, RouteLengthWeight: p.RouteOpt.LengthWeight,
+				RouteOverflowPen: p.RouteOpt.OverflowPenalty, MaxRipupPasses: p.MaxRipupPasses,
+				Capacity: p.Capacity, TargetStage1Avg: p.TargetStage1Avg, Tech: p.Tech,
+				SkipStage4: p.SkipStage4, DisableDemandTerm: p.DisableDemandTerm, Backend: p.Backend,
+				Library: p.Library, MCFPhases: p.MCFPhases, MCFEpsilon: p.MCFEpsilon,
+			})
+			if got != want {
+				t.Errorf("PlanKey(%v, %s) = %s, the marshalled material hashes to %s", c != nil, p.Backend, got, want)
+			}
+		}
+		for _, capacity := range []int{1, 4} {
+			got, err := BBPKey(c, capacity, core.DefaultParams().Tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := hashMaterial(t, bbpMaterial{Version: keyVersion, Kind: "bbp", Circuit: c, Capacity: capacity, Tech: core.DefaultParams().Tech})
+			if got != want {
+				t.Errorf("BBPKey(%v, %d) = %s, the marshalled material hashes to %s", c != nil, capacity, got, want)
+			}
+		}
+	}
+	bad := testCircuit(t, 1)
+	bad.Nets[3].Sinks[0].Pos.X = math.NaN()
+	if _, err := PlanKey(bad, core.DefaultParams()); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("PlanKey of a NaN coordinate: error %v, want json's unsupported-value error", err)
+	}
+}
+
+// BenchmarkPlanKey keys the coarse playout circuit under the default
+// parameters.
+func BenchmarkPlanKey(b *testing.B) {
+	spec, err := floorplan.BySuiteName("playout")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := floorplan.Generate(spec, floorplan.Options{GridW: 11, GridH: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanKey(c, p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

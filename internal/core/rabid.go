@@ -48,7 +48,8 @@ type Params struct {
 	// the Stage-1 average congestion is TargetStage1Avg (see DESIGN.md —
 	// the paper never tabulates W(e)).
 	Capacity int
-	// TargetStage1Avg is the calibration target (default 0.25).
+	// TargetStage1Avg is the calibration target (0 means
+	// DefaultTargetStage1Avg).
 	TargetStage1Avg float64
 	// Tech is the technology used for Elmore delay reporting.
 	Tech tech.Tech
@@ -59,8 +60,8 @@ type Params struct {
 	DisableDemandTerm bool
 	// MCFPhases and MCFEpsilon expose the multicommodity-flow router's
 	// knobs (see mcf.Options): the number of routing phases and the
-	// exponential length step. Zero means the engine default (12 phases,
-	// epsilon 0.3). Both are result-affecting and flow into the
+	// exponential length step. Zero means the engine default
+	// (mcf.DefaultPhases, mcf.DefaultEpsilon). Both are result-affecting and flow into the
 	// content-addressed cache key; only the "mcf" backend reads them, and
 	// backend.Normalize refuses non-zero values on any other engine.
 	MCFPhases  int
@@ -151,13 +152,17 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// DefaultTargetStage1Avg is the Stage-1 average congestion a zero
+// Capacity is calibrated to when Params.TargetStage1Avg is 0.
+const DefaultTargetStage1Avg = 0.25
+
 // DefaultParams returns the paper's parameter set.
 func DefaultParams() Params {
 	return Params{
 		Alpha:           0.4,
 		RouteOpt:        route.DefaultOptions(),
 		MaxRipupPasses:  3,
-		TargetStage1Avg: 0.25,
+		TargetStage1Avg: DefaultTargetStage1Avg,
 		Tech:            tech.Default018(),
 	}
 }
@@ -499,7 +504,7 @@ func (s *state) stage1() error {
 	if capacity == 0 {
 		target := s.p.TargetStage1Avg
 		if target <= 0 {
-			target = 0.25
+			target = DefaultTargetStage1Avg
 		}
 		capacity = tile.CalibrateCapacity(prov.UsageSnapshot(), prov.NumEdges(), target)
 	}

@@ -27,12 +27,19 @@ import (
 	"repro/internal/tile"
 )
 
+// The defaults of Options.Phases and Options.Epsilon, which a zero value
+// selects.
+const (
+	DefaultPhases  = 12
+	DefaultEpsilon = 0.3
+)
+
 // Options tunes the approximation.
 type Options struct {
-	// Phases is the number of routing phases (default 12). More phases
-	// tighten the fractional solution at linear cost.
+	// Phases is the number of routing phases (0 = DefaultPhases). More
+	// phases tighten the fractional solution at linear cost.
 	Phases int
-	// Epsilon is the exponential length step (default 0.3).
+	// Epsilon is the exponential length step (0 = DefaultEpsilon).
 	Epsilon float64
 	// Seed drives the randomized rounding.
 	Seed int64
@@ -92,13 +99,13 @@ func RouteCtx(ctx context.Context, g *tile.Graph, nets []*netlist.Net, opt Optio
 		ctx = context.Background() //rabid:allow ctxflow nil-ctx guard: normalized to the documented Background behavior instead of panicking at the first checkpoint
 	}
 	if opt.Phases == 0 {
-		opt.Phases = 12
+		opt.Phases = DefaultPhases
 	}
 	if opt.Phases < 1 {
 		return nil, fmt.Errorf("mcf: phases %d < 1", opt.Phases)
 	}
 	if opt.Epsilon == 0 {
-		opt.Epsilon = 0.3
+		opt.Epsilon = DefaultEpsilon
 	}
 	if opt.Epsilon <= 0 || opt.Epsilon >= 1 {
 		return nil, fmt.Errorf("mcf: epsilon %g outside (0,1)", opt.Epsilon)

@@ -185,10 +185,12 @@ func TestPlanParamsContract(t *testing.T) {
 }
 
 // TestPlanIgnoredFieldsShareKey: a request that differs from another only
-// in a field its engine ignores is answered from that request's cache
-// entry under its ETag, on coarse hp — the mcf engine's router alpha,
-// rip-up passes and Stage-4 switch, and on every engine the calibration
-// target once a capacity is given.
+// in a field its engine ignores, or in spelling out a default, is answered
+// from that request's cache entry under its ETag, on coarse hp — the mcf
+// engine's router alpha, rip-up passes and Stage-4 switch, on every engine
+// the calibration target once a capacity is given, and the defaults the
+// pipeline reads a zero as: calibration target 0, mcf phases 12 and mcf
+// epsilon 0.3.
 func TestPlanIgnoredFieldsShareKey(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
@@ -200,6 +202,9 @@ func TestPlanIgnoredFieldsShareKey(t *testing.T) {
 		{`"capacity":17`, `"capacity":17,"target_stage1_avg":0.4`},
 		{`"backend":"rabid+lib","capacity":17`, `"backend":"rabid+lib","capacity":17,"target_stage1_avg":0.4`},
 		{`"backend":"mcf","capacity":17`, `"backend":"mcf","capacity":17,"target_stage1_avg":0.4`},
+		{``, `"target_stage1_avg":0`},
+		{`"backend":"mcf"`, `"backend":"mcf","mcf_phases":12`},
+		{`"backend":"mcf"`, `"backend":"mcf","mcf_epsilon":0.3`},
 	} {
 		resp, b := postJSON(t, ts.URL+"/v1/plan", planBody(t, c, `,"params":{`+tc.base+`}`))
 		if resp.StatusCode != http.StatusOK {

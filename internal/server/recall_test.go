@@ -13,7 +13,7 @@ import (
 )
 
 // suiteCircuit generates the named suite circuit at a coarse tiling.
-func suiteCircuit(t *testing.T, name string, w, h int) *netlist.Circuit {
+func suiteCircuit(t testing.TB, name string, w, h int) *netlist.Circuit {
 	t.Helper()
 	spec, err := floorplan.BySuiteName(name)
 	if err != nil {

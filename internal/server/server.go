@@ -556,7 +556,7 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 // decodeBody reads a size-capped request body and decodes it into dst (see
 // readBody and decode). It writes the error response itself and reports
 // whether both succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst envelope) bool {
 	buf, ok := s.readBody(w, r)
 	if !ok {
 		return false
@@ -609,7 +609,7 @@ func (s *Server) putBody(buf *bytes.Buffer) {
 
 // decode decodes a request body into dst (see decodeRequest), writing the
 // 400 response itself on failure.
-func (s *Server) decode(w http.ResponseWriter, raw []byte, dst any) bool {
+func (s *Server) decode(w http.ResponseWriter, raw []byte, dst envelope) bool {
 	if err := decodeRequest(raw, dst); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return false
@@ -617,10 +617,98 @@ func (s *Server) decode(w http.ResponseWriter, raw []byte, dst any) bool {
 	return true
 }
 
-// decodeRequest decodes one request JSON object into dst in one pass,
+// envelope is a POST body type: decodeStrict hands its circuit to the
+// netlist decoder and each of its other members, by JSON name, to
+// encoding/json.
+type envelope interface {
+	// setCircuit stores the decoded circuit.
+	setCircuit(c *netlist.Circuit)
+	// member returns a pointer to the field of the member with the given
+	// JSON name, other than the circuit, and the member's bit in a set of
+	// members seen; nil for a name the body type does not have.
+	member(name []byte) (any, uint)
+	// reset zeroes the request.
+	reset()
+}
+
+func (r *planRequest) setCircuit(c *netlist.Circuit) { r.Circuit = c }
+func (r *planRequest) reset()                        { *r = planRequest{} }
+func (r *planRequest) member(name []byte) (any, uint) {
+	switch string(name) {
+	case "params":
+		return &r.Params, 1
+	case "timeout_ms":
+		return &r.TimeoutMs, 2
+	}
+	return nil, 0
+}
+
+func (r *bbpRequest) setCircuit(c *netlist.Circuit) { r.Circuit = c }
+func (r *bbpRequest) reset()                        { *r = bbpRequest{} }
+func (r *bbpRequest) member(name []byte) (any, uint) {
+	switch string(name) {
+	case "capacity":
+		return &r.Capacity, 1
+	case "timeout_ms":
+		return &r.TimeoutMs, 2
+	}
+	return nil, 0
+}
+
+// decoders recycles the strict decoder's scratch across requests. Like
+// the body pool, it is invisible to keys and bytes.
+var decoders = sync.Pool{New: func() any { return new(netlist.Decoder) }}
+
+// decodeRequest decodes one request JSON object into dst. A body in the
+// canonical subset (see netlist.Decoder) is decoded by decodeStrict,
+// without a copy of the body and with the circuit built into a few slabs;
+// any other body, from its first byte outside the subset, is decoded
+// afresh by decodeJSON. The two agree wherever the strict path accepts
+// (FuzzDecodeRequest), so which path ran never shows in a decoded value,
+// an accepted body or an error message.
+func decodeRequest(raw []byte, dst envelope) error {
+	d := decoders.Get().(*netlist.Decoder)
+	ok := decodeStrict(d, raw, dst)
+	if len(raw) <= maxPooledBody {
+		decoders.Put(d)
+	}
+	if ok {
+		return nil
+	}
+	dst.reset()
+	return decodeJSON(raw, dst)
+}
+
+// decodeStrict decodes raw into dst if the body lies in the canonical
+// subset: the circuit through d, each other member through encoding/json
+// under DisallowUnknownFields, as decodeJSON decodes it. It reports false
+// at the first byte outside the subset and at a member encoding/json
+// refuses, with dst then partly filled.
+func decodeStrict(d *netlist.Decoder, raw []byte, dst envelope) bool {
+	var seen uint
+	c, ok := d.DecodeEnvelope(raw, func(name, value []byte) (int, bool) {
+		field, bit := dst.member(name)
+		if field == nil || seen&bit != 0 {
+			return 0, false
+		}
+		seen |= bit
+		dec := json.NewDecoder(bytes.NewReader(value))
+		dec.DisallowUnknownFields()
+		if dec.Decode(field) != nil {
+			return 0, false
+		}
+		return int(dec.InputOffset()), true
+	})
+	if ok {
+		dst.setCircuit(c)
+	}
+	return ok
+}
+
+// decodeJSON decodes one request JSON object into dst in one pass,
 // rejecting unknown fields at any depth (the circuit's included) and
 // trailing data.
-func decodeRequest(raw []byte, dst any) error {
+func decodeJSON(raw []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)

@@ -21,7 +21,7 @@ import (
 // testCircuit generates a small apte-derived instance; identical seeds
 // produce identical circuits, so two requests built from the same seed are
 // the same content-addressed problem.
-func testCircuit(t *testing.T, seed int64) *netlist.Circuit {
+func testCircuit(t testing.TB, seed int64) *netlist.Circuit {
 	t.Helper()
 	spec, err := floorplan.BySuiteName("apte")
 	if err != nil {
@@ -35,7 +35,7 @@ func testCircuit(t *testing.T, seed int64) *netlist.Circuit {
 }
 
 // planBody builds a /v1/plan request body for a circuit.
-func planBody(t *testing.T, c *netlist.Circuit, extra string) []byte {
+func planBody(t testing.TB, c *netlist.Circuit, extra string) []byte {
 	t.Helper()
 	cj, err := json.Marshal(c)
 	if err != nil {
@@ -342,26 +342,29 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// badRequests are TestBadRequests' bodies, sent to every POST endpoint of
+// a server whose body cap is 4096 bytes.
+var badRequests = []struct {
+	name string
+	body string
+	want int
+}{
+	{"syntax error", `{garbage`, http.StatusBadRequest},
+	{"unknown field", `{"circut":{}}`, http.StatusBadRequest},
+	{"trailing data", `{"circuit":{"name":"x"}}{"again":1}`, http.StatusBadRequest},
+	{"invalid circuit", `{"circuit":{"name":"x","grid_w":0}}`, http.StatusBadRequest},
+	{"nan coordinate", `{"circuit":{"name":"x","grid_w":1,"grid_h":1,"tile_um":null}}`, http.StatusBadRequest},
+	{"oversized body", `{"circuit":{"name":"` + strings.Repeat("x", 8192) + `"}}`, http.StatusRequestEntityTooLarge},
+}
+
 // TestBadRequests: malformed bodies, unknown fields, invalid circuits, and
 // oversized payloads map to precise 4xx statuses, never 500, on every POST
 // endpoint (they share one body reader and decoder).
 func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New(Config{MaxBodyBytes: 4096}).Handler())
 	defer ts.Close()
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"syntax error", `{garbage`, http.StatusBadRequest},
-		{"unknown field", `{"circut":{}}`, http.StatusBadRequest},
-		{"trailing data", `{"circuit":{"name":"x"}}{"again":1}`, http.StatusBadRequest},
-		{"invalid circuit", `{"circuit":{"name":"x","grid_w":0}}`, http.StatusBadRequest},
-		{"nan coordinate", `{"circuit":{"name":"x","grid_w":1,"grid_h":1,"tile_um":null}}`, http.StatusBadRequest},
-		{"oversized body", `{"circuit":{"name":"` + strings.Repeat("x", 8192) + `"}}`, http.StatusRequestEntityTooLarge},
-	}
 	for _, path := range []string{"/v1/plan", "/v1/bbp", "/v1/jobs"} {
-		for _, tc := range cases {
+		for _, tc := range badRequests {
 			resp, b := postJSON(t, ts.URL+path, []byte(tc.body))
 			if resp.StatusCode != tc.want {
 				t.Errorf("%s %s: status %d, body %s, want %d", path, tc.name, resp.StatusCode, b, tc.want)
@@ -377,6 +380,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// circuitBadRequests returns TestCircuitBadRequests' circuit, a
+// decomposed coarse apte, and its cases: circuit members (possibly absent)
+// the server must refuse with the given error.
+func circuitBadRequests(t testing.TB) (string, []struct{ name, circuit, wantErr string }) {
+	cj, err := json.Marshal(testCircuit(t, 1).DecomposeTwoPin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuit := string(cj)
+	return circuit, []struct{ name, circuit, wantErr string }{
+		{"unknown circuit field", strings.TrimSuffix(circuit, "}") + `,"colour":"red"}`, "unknown field"},
+		{"unknown net field", strings.Replace(circuit, `"l":`, `"lenght":3,"l":`, 1), "unknown field"},
+		{"unknown pin field", strings.Replace(circuit, `"pos":`, `"layer":2,"pos":`, 1), "unknown field"},
+		{"missing circuit", "", "no circuit"},
+		{"null circuit", "null", "no circuit"},
+	}
+}
+
+// circuitBody is the body of a request to path with the given circuit
+// member (none when empty), and on /v1/bbp capacity 2.
+func circuitBody(path, circuit string) []byte {
+	var fields []string
+	if circuit != "" {
+		fields = append(fields, `"circuit":`+circuit)
+	}
+	if path == "/v1/bbp" {
+		fields = append(fields, `"capacity":2`)
+	}
+	return []byte("{" + strings.Join(fields, ",") + "}")
+}
+
 // TestCircuitBadRequests: the circuit is decoded in the envelope's one
 // pass, so an unknown field anywhere inside it is a 400 like one in the
 // envelope or params, and so are a missing and a null circuit, on every
@@ -386,31 +420,10 @@ func TestCircuitBadRequests(t *testing.T) {
 	m := obs.NewMetrics()
 	ts := httptest.NewServer(New(Config{Metrics: m}).Handler())
 	defer ts.Close()
-	cj, err := json.Marshal(testCircuit(t, 1).DecomposeTwoPin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	circuit := string(cj)
-	cases := []struct{ name, circuit, wantErr string }{
-		{"unknown circuit field", strings.TrimSuffix(circuit, "}") + `,"colour":"red"}`, "unknown field"},
-		{"unknown net field", strings.Replace(circuit, `"l":`, `"lenght":3,"l":`, 1), "unknown field"},
-		{"unknown pin field", strings.Replace(circuit, `"pos":`, `"layer":2,"pos":`, 1), "unknown field"},
-		{"missing circuit", "", "no circuit"},
-		{"null circuit", "null", "no circuit"},
-	}
-	body := func(path, circuit string) []byte {
-		var fields []string
-		if circuit != "" {
-			fields = append(fields, `"circuit":`+circuit)
-		}
-		if path == "/v1/bbp" {
-			fields = append(fields, `"capacity":2`)
-		}
-		return []byte("{" + strings.Join(fields, ",") + "}")
-	}
+	circuit, cases := circuitBadRequests(t)
 	for _, path := range []string{"/v1/plan", "/v1/bbp", "/v1/jobs"} {
 		for _, tc := range cases {
-			resp, b := postJSON(t, ts.URL+path, body(path, tc.circuit))
+			resp, b := postJSON(t, ts.URL+path, circuitBody(path, tc.circuit))
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s %s: status %d, body %s, want 400", path, tc.name, resp.StatusCode, b)
 				continue
@@ -424,7 +437,7 @@ func TestCircuitBadRequests(t *testing.T) {
 		t.Errorf("refused circuits went on: %v misses, %d runs, %v jobs", misses, runs, jobs)
 	}
 	for _, path := range []string{"/v1/plan", "/v1/bbp"} {
-		if resp, b := postJSON(t, ts.URL+path, body(path, circuit)); resp.StatusCode != http.StatusOK {
+		if resp, b := postJSON(t, ts.URL+path, circuitBody(path, circuit)); resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: the circuit without a stray field: status %d, body %s", path, resp.StatusCode, b)
 		}
 	}
