@@ -46,7 +46,6 @@ type config struct {
 	sites          int
 	seed           int64
 	twopin         bool
-	annealed       bool
 	alpha          float64
 	passes         int
 	workers        int
@@ -84,7 +83,6 @@ func main() {
 	flag.Float64Var(&cfg.mcfEpsilon, "mcf-epsilon", 0, "mcf engine: dual-update epsilon in (0,1) (0 = engine default)")
 	flag.StringVar(&cfg.svgOut, "svg", "", "write an SVG of the final plan (blocks, congestion, routes, buffers)")
 	flag.BoolVar(&cfg.heat, "heat", false, "print ASCII wire-congestion and buffer-density maps")
-	flag.BoolVar(&cfg.annealed, "annealed", false, "place benchmark blocks with the simulated annealer instead of guillotine packing")
 	flag.StringVar(&cfg.jsonOut, "json", "", "write a machine-readable run report (JSON) to this file")
 	flag.IntVar(&cfg.retime, "retime", 0, "after planning, re-buffer the N most critical nets with the timing-driven pass")
 	flag.StringVar(&cfg.eventsOut, "events", "", "write the run's telemetry event stream (JSON lines) to this file")
@@ -263,7 +261,7 @@ func load(cfg config) (*rabid.Circuit, rabid.Params, error) {
 		}
 		return c, rabid.DefaultParams(), nil
 	case cfg.bench != "":
-		opt := rabid.GenOptions{Sites: cfg.sites, Seed: cfg.seed, Annealed: cfg.annealed}
+		opt := rabid.GenOptions{Sites: cfg.sites, Seed: cfg.seed}
 		if cfg.grid != "" {
 			if _, err := fmt.Sscanf(cfg.grid, "%dx%d", &opt.GridW, &opt.GridH); err != nil {
 				return nil, rabid.Params{}, fmt.Errorf("bad -grid %q (want WxH): %v", cfg.grid, err)

@@ -45,13 +45,3 @@ func TestFacadeSubsystems(t *testing.T) {
 		t.Fatalf("retime: %v %v", reports, err)
 	}
 }
-
-func TestFacadeAnnealedGeneration(t *testing.T) {
-	c, err := GenerateBenchmark("apte", GenOptions{Annealed: true, GridW: 10, GridH: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Blocks) != 9 {
-		t.Errorf("apte annealed has %d blocks", len(c.Blocks))
-	}
-}

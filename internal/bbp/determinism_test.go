@@ -8,15 +8,14 @@ import (
 	"repro/internal/tech"
 )
 
-// generateTwoPin builds the named suite circuit from its spec seed and
-// decomposes it for BBP.
-func generateTwoPin(t *testing.T, opt floorplan.Options) *netlist.Circuit {
+// generateTwoPin builds apte from its spec seed and decomposes it for BBP.
+func generateTwoPin(t *testing.T) *netlist.Circuit {
 	t.Helper()
 	spec, err := floorplan.BySuiteName("apte")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := floorplan.Generate(spec, opt)
+	c, err := floorplan.Generate(spec, floorplan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,35 +28,33 @@ func generateTwoPin(t *testing.T, opt floorplan.Options) *netlist.Circuit {
 // rabidlint), so generating and BBP-planning the same circuit twice must
 // agree buffer for buffer and stat for stat.
 func TestSeededDeterminism(t *testing.T) {
-	for _, opt := range []floorplan.Options{{}, {Annealed: true}} {
-		run := func() (*netlist.Circuit, *Result) {
-			c := generateTwoPin(t, opt)
-			res, err := Run(c, 8, tech.Default018(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c, res
+	run := func() (*netlist.Circuit, *Result) {
+		c := generateTwoPin(t)
+		res, err := Run(c, 8, tech.Default018(), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ca, a := run()
-		cb, b := run()
-		if len(ca.Nets) != len(cb.Nets) {
-			t.Fatalf("annealed=%v: net counts differ: %d vs %d", opt.Annealed, len(ca.Nets), len(cb.Nets))
+		return c, res
+	}
+	ca, a := run()
+	cb, b := run()
+	if len(ca.Nets) != len(cb.Nets) {
+		t.Fatalf("net counts differ: %d vs %d", len(ca.Nets), len(cb.Nets))
+	}
+	if a.Buffers != b.Buffers || a.Overflows != b.Overflows ||
+		a.MTAP != b.MTAP || a.WirelenMm != b.WirelenMm ||
+		a.WireMax != b.WireMax || a.WireAvg != b.WireAvg ||
+		a.MaxDelayPs != b.MaxDelayPs || a.AvgDelayPs != b.AvgDelayPs {
+		t.Fatalf("results differ:\n%+v\n%+v", a, b)
+	}
+	for i := range a.Routes {
+		pa, pb := a.Routes[i].EdgePairs(), b.Routes[i].EdgePairs()
+		if len(pa) != len(pb) {
+			t.Fatalf("net %d route size differs", i)
 		}
-		if a.Buffers != b.Buffers || a.Overflows != b.Overflows ||
-			a.MTAP != b.MTAP || a.WirelenMm != b.WirelenMm ||
-			a.WireMax != b.WireMax || a.WireAvg != b.WireAvg ||
-			a.MaxDelayPs != b.MaxDelayPs || a.AvgDelayPs != b.AvgDelayPs {
-			t.Fatalf("annealed=%v: results differ:\n%+v\n%+v", opt.Annealed, a, b)
-		}
-		for i := range a.Routes {
-			pa, pb := a.Routes[i].EdgePairs(), b.Routes[i].EdgePairs()
-			if len(pa) != len(pb) {
-				t.Fatalf("annealed=%v: net %d route size differs", opt.Annealed, i)
-			}
-			for k := range pa {
-				if pa[k] != pb[k] {
-					t.Fatalf("annealed=%v: net %d edge %d differs: %v vs %v", opt.Annealed, i, k, pa[k], pb[k])
-				}
+		for k := range pa {
+			if pa[k] != pb[k] {
+				t.Fatalf("net %d edge %d differs: %v vs %v", i, k, pa[k], pb[k])
 			}
 		}
 	}
@@ -69,7 +66,7 @@ func TestSeededDeterminism(t *testing.T) {
 // per-net/per-pass telemetry spans stay clock-free when untapped; only
 // this one coarse, annotated timer always runs.)
 func TestUntappedRunReportsCPU(t *testing.T) {
-	c := generateTwoPin(t, floorplan.Options{})
+	c := generateTwoPin(t)
 	res, err := Run(c, 8, tech.Default018(), nil)
 	if err != nil {
 		t.Fatal(err)

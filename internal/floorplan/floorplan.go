@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/anneal"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 )
@@ -97,12 +96,6 @@ type Options struct {
 	Sites int
 	// Seed overrides the spec seed. Zero keeps it.
 	Seed int64
-	// NoBlockedRegion disables the cache-like zero-site region.
-	NoBlockedRegion bool
-	// Annealed places the macro blocks with the slicing simulated annealer
-	// (wirelength-aware, like the Monte Carlo annealing that produced the
-	// paper's floorplans) instead of guillotine packing.
-	Annealed bool
 }
 
 // Generate builds the circuit for a spec. The construction is fully
@@ -150,21 +143,15 @@ func Generate(spec Spec, opt Options) (*netlist.Circuit, error) {
 		NumPads: spec.Pads,
 	}
 	chip := geom.Rect{Hi: geom.FPt{X: spec.ChipWUm(), Y: spec.ChipHUm()}}
-	// Abstract net connectivity first (terminal t < Cells is a block, t >=
-	// Cells is pad t-Cells), so the annealed placement can see it.
+	// Abstract net connectivity (terminal t < Cells is a block, t >= Cells
+	// is pad t-Cells) draws from the rng before the blocks do: every step
+	// below consumes the one rng in turn, so this order fixes every
+	// generated circuit (TestSuiteCircuitDigests pins it).
 	terms := assignTerminals(rng, spec)
-	if opt.Annealed {
-		blocks, err := annealBlocks(rng, chip, spec, terms)
-		if err != nil {
-			return nil, err
-		}
-		c.Blocks = blocks
-	} else {
-		c.Blocks = packBlocks(rng, chip, spec.Cells)
-	}
+	c.Blocks = packBlocks(rng, chip, spec.Cells)
 	pads := placePads(rng, chip, spec.Pads)
 	realizeNets(rng, c, spec, terms, pads)
-	scatterSites(rng, c, sites, !opt.NoBlockedRegion)
+	scatterSites(rng, c, sites)
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("floorplan: %s: generated circuit invalid: %w", spec.Name, err)
 	}
@@ -267,62 +254,6 @@ func assignTerminals(rng *rand.Rand, spec Spec) [][]int {
 	return terms
 }
 
-// annealBlocks places the macro blocks with the slicing annealer using the
-// nets' block-level connectivity, then fits the result into the chip and
-// shrinks each block to leave channels.
-func annealBlocks(rng *rand.Rand, chip geom.Rect, spec Spec, terms [][]int) ([]geom.Rect, error) {
-	// Random block areas summing to ~72% of the chip (the paper's point
-	// that designs are placed below 100% density).
-	weights := make([]float64, spec.Cells)
-	sum := 0.0
-	for i := range weights {
-		weights[i] = 0.5 + rng.Float64()
-		sum += weights[i]
-	}
-	blocks := make([]anneal.Block, spec.Cells)
-	budget := 0.72 * chip.Area()
-	for i, w := range weights {
-		blocks[i] = anneal.Block{Area: budget * w / sum}
-	}
-	var nets []anneal.Net
-	for _, list := range terms {
-		var net anneal.Net
-		seen := map[int]bool{}
-		for _, t := range list {
-			if t < spec.Cells && !seen[t] {
-				seen[t] = true
-				net = append(net, t)
-			}
-		}
-		if len(net) >= 2 {
-			nets = append(nets, net)
-		}
-	}
-	res, err := anneal.Floorplan(blocks, nets, anneal.Options{
-		Seed:  rng.Int63(),
-		Moves: 8000 + 400*spec.Cells,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Fit the annealed bounding box into the chip and leave channels.
-	sx := chip.W() / res.W
-	sy := chip.H() / res.H
-	out := make([]geom.Rect, len(res.Rects))
-	for i, r := range res.Rects {
-		fitted := geom.Rect{
-			Lo: geom.FPt{X: r.Lo.X * sx, Y: r.Lo.Y * sy},
-			Hi: geom.FPt{X: r.Hi.X * sx, Y: r.Hi.Y * sy},
-		}
-		m := 0.03 * math.Min(fitted.W(), fitted.H())
-		out[i] = geom.Rect{
-			Lo: geom.FPt{X: fitted.Lo.X + m, Y: fitted.Lo.Y + m},
-			Hi: geom.FPt{X: fitted.Hi.X - m, Y: fitted.Hi.Y - m},
-		}
-	}
-	return out, nil
-}
-
 // realizeNets turns the abstract terminal lists into pins on block
 // perimeters and pads.
 func realizeNets(rng *rand.Rand, c *netlist.Circuit, spec Spec, terms [][]int, pads []geom.FPt) {
@@ -355,24 +286,22 @@ func realizeNets(rng *rand.Rand, c *netlist.Circuit, spec Spec, terms [][]int, p
 // scatterSites distributes the buffer-site budget uniformly over the tiles
 // outside the blocked region. The blocked square scales with the grid: 9x9
 // at the paper's base 30-tile short side.
-func scatterSites(rng *rand.Rand, c *netlist.Circuit, total int, blocked bool) {
+func scatterSites(rng *rand.Rand, c *netlist.Circuit, total int) {
 	c.BufferSites = make([]int, c.NumTiles())
 	eligible := make([]bool, c.NumTiles())
 	for i := range eligible {
 		eligible[i] = true
 	}
-	if blocked {
-		short := geom.Min(c.GridW, c.GridH)
-		side := int(math.Round(0.3 * float64(short)))
-		if side < 1 {
-			side = 1
-		}
-		bx := rng.Intn(c.GridW - side + 1)
-		by := rng.Intn(c.GridH - side + 1)
-		for y := by; y < by+side; y++ {
-			for x := bx; x < bx+side; x++ {
-				eligible[y*c.GridW+x] = false
-			}
+	short := geom.Min(c.GridW, c.GridH)
+	side := int(math.Round(0.3 * float64(short)))
+	if side < 1 {
+		side = 1
+	}
+	bx := rng.Intn(c.GridW - side + 1)
+	by := rng.Intn(c.GridH - side + 1)
+	for y := by; y < by+side; y++ {
+		for x := bx; x < bx+side; x++ {
+			eligible[y*c.GridW+x] = false
 		}
 	}
 	var pool []int

@@ -155,20 +155,6 @@ func TestBlockedRegionAtBaseGrid(t *testing.T) {
 	if !found {
 		t.Error("no 9x9 blocked region found")
 	}
-	// Without the blocked region, far fewer zero tiles.
-	c2, err := Generate(spec, Options{NoBlockedRegion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero2 := 0
-	for _, b := range c2.BufferSites {
-		if b == 0 {
-			zero2++
-		}
-	}
-	if zero2 >= zero {
-		t.Errorf("NoBlockedRegion did not reduce empty tiles (%d vs %d)", zero2, zero)
-	}
 }
 
 func TestGridOverrideKeepsChip(t *testing.T) {

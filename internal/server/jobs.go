@@ -270,11 +270,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Journal the decoded request re-serialized, not the wire bytes: this
 	// canonical form, the circuit re-marshalled from its decoded struct
 	// included, is what ExecutePlan replays and what recorded journals
-	// hold.
-	reqBody, err := json.Marshal(&req)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+	// hold. Without a journal nothing reads it, so it is not built.
+	var reqBody []byte
+	if s.cfg.Journal != nil {
+		var err error
+		if reqBody, err = json.Marshal(&req); err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
 	c, p, key, err := parsePlan(&req)
 	if err != nil {

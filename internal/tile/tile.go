@@ -185,13 +185,6 @@ func (g *Graph) SetCapacity(e, c int) {
 	g.cap[e] = c
 }
 
-// SetUniformCapacity sets every edge capacity to c.
-func (g *Graph) SetUniformCapacity(c int) {
-	for i := range g.cap {
-		g.SetCapacity(i, c)
-	}
-}
-
 // AddWire records one wire crossing edge e.
 func (g *Graph) AddWire(e int) {
 	g.use[e]++
