@@ -50,9 +50,6 @@ func (r Rect) H() float64 { return r.Hi.Y - r.Lo.Y }
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.W() * r.H() }
 
-// Center returns the rectangle center point.
-func (r Rect) Center() FPt { return FPt{(r.Lo.X + r.Hi.X) / 2, (r.Lo.Y + r.Hi.Y) / 2} }
-
 // Contains reports whether p lies inside r (inclusive of the low edge,
 // exclusive of the high edge, so adjacent rectangles do not share points).
 func (r Rect) Contains(p FPt) bool {

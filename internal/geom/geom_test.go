@@ -69,9 +69,6 @@ func TestRectBasics(t *testing.T) {
 	if r.W() != 4 || r.H() != 2 || r.Area() != 8 {
 		t.Errorf("W/H/Area = %v/%v/%v", r.W(), r.H(), r.Area())
 	}
-	if c := r.Center(); c != (FPt{2, 1}) {
-		t.Errorf("Center = %v", c)
-	}
 	if !r.Valid() {
 		t.Error("rect should be valid")
 	}
